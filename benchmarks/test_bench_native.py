@@ -9,8 +9,12 @@ Workload: SSSP fixed-point over the C6 Erdős–Rényi family (block
 partition, coalescing 256) scaled until kernel time dominates driver
 overhead.  Reported and asserted:
 
-* fused native ≥ 2x faster than the vector tier post-warmup (floor
-  recorded machine-readably in ``results/BENCH_native.json``);
+* fused native is not slower than the vector tier post-warmup, and the
+  absolute traversed edges/s of every row (recorded machine-readably in
+  ``results/BENCH_native.json``).  Both tiers ship their rows through the
+  same columnar message path, so the ratio now measures fusion and
+  codegen; the former 2x floor measured the vector tier's per-edge scalar
+  sends;
 * bit-identical distance arrays across vector / native / fused rows;
 * a second process re-binding the same shape loads the persisted kernel
   module from the on-disk cache (0 compiles, ≥1 disk hit).
@@ -41,7 +45,7 @@ N = 4096
 AVG_DEG = 16
 COALESCING = 256
 N_RANKS = 4
-SPEEDUP_FLOOR = 2.0
+SPEEDUP_FLOOR = 1.0  # fused native must not be slower than vector
 
 
 def c6_instance():
@@ -141,9 +145,16 @@ def test_native_speedup_and_cache_reuse(benchmark):
 
     speedup = times["vector"]["best_s"] / times["native+fused"]["best_s"]
     assert speedup >= SPEEDUP_FLOOR, (
-        f"fused native only {speedup:.2f}x faster than vector "
-        f"(floor {SPEEDUP_FLOOR}x)"
+        f"fused native is slower than vector ({speedup:.2f}x, "
+        f"floor {SPEEDUP_FLOOR}x)"
     )
+    # absolute throughput: out-edges of every vertex the search reached
+    s, _t = g.edge_arrays()
+    out_degree = np.bincount(s, minlength=N)
+    traversed = int(out_degree[np.isfinite(dists["vector"])].sum())
+    edges_per_s = {
+        name: round(traversed / times[name]["best_s"]) for name, _ in configs
+    }
 
     # second-process kernel-cache reuse: first fresh interpreter compiles
     # and persists, second loads from disk without compiling
@@ -161,6 +172,7 @@ def test_native_speedup_and_cache_reuse(benchmark):
                 "config": name,
                 "best_s": round(times[name]["best_s"], 4),
                 "warmup_s": round(times[name]["warmup_s"][0], 4),
+                "edges_per_s": edges_per_s[name],
                 "speedup_vs_vector": round(
                     times["vector"]["best_s"] / times[name]["best_s"], 2
                 ),
@@ -174,7 +186,8 @@ def test_native_speedup_and_cache_reuse(benchmark):
         f"Native tier — SSSP fixed-point, ER n={N} deg={AVG_DEG} "
         f"(best of 3, warmup excluded)",
         format_table(rows)
-        + f"\nfused native {speedup:.2f}x over vector (floor {SPEEDUP_FLOOR}x); "
+        + f"\nfused native {speedup:.2f}x of vector (floor {SPEEDUP_FLOOR}x), "
+        f"{traversed} traversed edges; "
         "identical distances; second process reused the on-disk kernel",
     )
     write_json(
@@ -193,6 +206,8 @@ def test_native_speedup_and_cache_reuse(benchmark):
             "warmup_seconds": {
                 name: times[name]["warmup_s"] for name, _ in configs
             },
+            "traversed_edges": traversed,
+            "edges_per_s": edges_per_s,
             "jit_seconds": stats["native+fused"].stats.native.jit_seconds,
             "speedup_vs_vector": {
                 name: round(times["vector"]["best_s"] / times[name]["best_s"], 3)

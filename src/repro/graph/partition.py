@@ -75,6 +75,14 @@ class Partition:
         if not 0 <= v < self.n_vertices:
             raise IndexError(f"vertex {v} out of range [0, {self.n_vertices})")
 
+    def check_vertices(self, vs: np.ndarray) -> np.ndarray:
+        """Array form of :meth:`check_vertex`; returns ``vs`` as an ndarray."""
+        vs = np.asarray(vs)
+        if vs.size and (vs.min() < 0 or vs.max() >= self.n_vertices):
+            bad = vs[(vs < 0) | (vs >= self.n_vertices)].flat[0]
+            raise IndexError(f"vertex {bad} out of range [0, {self.n_vertices})")
+        return vs
+
     # -- growth -----------------------------------------------------------------
     def grow(self, n_vertices: int) -> "Partition":
         """A partition of ``n_vertices`` >= current size over the same ranks.
@@ -126,10 +134,11 @@ class BlockPartition(Partition):
         return int(self._starts[rank]) + local
 
     def owner_array(self, vs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._starts, vs, side="right") - 1
+        return np.searchsorted(self._starts, self.check_vertices(vs), side="right") - 1
 
     def local_index_array(self, vs: np.ndarray) -> np.ndarray:
-        return np.asarray(vs) - self._starts[self.owner_array(vs)]
+        vs = self.check_vertices(vs)
+        return vs - self._starts[np.searchsorted(self._starts, vs, side="right") - 1]
 
     def local_vertices(self, rank: int) -> np.ndarray:
         return np.arange(self._starts[rank], self._starts[rank + 1], dtype=np.int64)
@@ -154,10 +163,10 @@ class CyclicPartition(Partition):
         return local * self.n_ranks + rank
 
     def owner_array(self, vs: np.ndarray) -> np.ndarray:
-        return np.asarray(vs) % self.n_ranks
+        return self.check_vertices(vs) % self.n_ranks
 
     def local_index_array(self, vs: np.ndarray) -> np.ndarray:
-        return np.asarray(vs) // self.n_ranks
+        return self.check_vertices(vs) // self.n_ranks
 
     def local_vertices(self, rank: int) -> np.ndarray:
         return np.arange(rank, self.n_vertices, self.n_ranks, dtype=np.int64)
@@ -201,10 +210,10 @@ class TablePartition(Partition):
         return int(self._locals_by_rank[rank][local])
 
     def owner_array(self, vs: np.ndarray) -> np.ndarray:
-        return self._owners[np.asarray(vs)]
+        return self._owners[self.check_vertices(vs)]
 
     def local_index_array(self, vs: np.ndarray) -> np.ndarray:
-        return self._local[np.asarray(vs)]
+        return self._local[self.check_vertices(vs)]
 
     def local_vertices(self, rank: int) -> np.ndarray:
         return self._locals_by_rank[rank]

@@ -173,10 +173,7 @@ class BoundAction:
                 self.native_plan = build_native_plan(self)
             if self.native_plan is None:
                 bound.machine.stats.count_native("fallbacks")
-        self._apply_batch = (
-            self._native_apply if self.native_plan is not None else self._vector_apply
-        )
-        # Bulk-row sends may bypass the per-payload layer walk only when
+        # Bulk column sends may bypass the per-payload layer walk only when
         # the stack is exactly one coalescing layer (flush boundaries are
         # then reproduced precisely; any other layer must see each row).
         layers = self.mtype.layers
@@ -233,10 +230,8 @@ class BoundAction:
     def _handler(self, ctx, payload: tuple) -> None:
         dest, ci, si, env = self._unpack(payload)
         if ci == -1:
-            if self.native_plan is not None:
-                self._native_generate(ctx, (dest,))
-            elif self.vector_plan is not None:
-                self._vector_generate(ctx, dest)
+            if self.vector_plan is not None:
+                self._fan_out(ctx, (dest,))
             else:
                 self._run_generator(ctx, dest)
         else:
@@ -492,94 +487,154 @@ class BoundAction:
                 return
             ci, si = nxt, 0
 
-    # -- tier 2: vectorized generation and batch delivery --------------------------
-    def _vector_generate(self, ctx, v: int) -> None:
-        """Vectorized generator fan-out for a recognized plan shape.
+    # -- tiers 2/3: columnar fan-out and batch delivery -------------------------------
+    def _fan_out(self, ctx, starts) -> None:
+        """Multi-source generator fan-out for a recognized plan shape.
 
-        Computes every out-edge's candidate value with one numpy kernel
-        over the rank's CSR slice, then sends one message per edge through
-        the normal layer stack — message counts and payloads match the
-        scalar walk exactly.  Self-loop arcs run the eval step inline, as
-        elision would.
+        One kernel evaluation per carried env key produces that key's
+        column for every out-edge of every vertex in ``starts`` (vector:
+        the bind-time numpy closures over per-edge index arrays; native
+        with fusion proven: the generated ``fanout`` kernel).  Rows whose
+        eval step runs here are applied inline and are not messages:
+        self-loop arcs, as elision would, and — when the planner proved the
+        gather -> evaluate pair fusable
+        (:func:`~repro.patterns.locality.fusion_report`) — every rank-local
+        edge, the collapsed message round.  All other rows leave through
+        :meth:`_send_columns`; counts and payload values match the scalar
+        walk's exactly.
         """
         vp = self.vector_plan
+        np_plan = self.native_plan
+        fused = np_plan is not None and np_plan.fused
         g = self.bound.graph
+        part = g.partition
         rank = ctx.rank
         csr = g.locals[rank]
-        local = g.partition.local_index(v)
-        sl = int(csr.indptr[local])
-        se = int(csr.indptr[local + 1])
-        if se == sl:
+        stats = ctx.stats
+        vglob = np.asarray(starts, dtype=np.int64)
+        vloc = part.local_index_array(vglob)
+        if fused:
+            arrays = [m.local_slice(rank) for m in np_plan.vmaps + np_plan.emaps]
+            targets, *cols = np_plan.kernels["fanout"](
+                vloc, vglob, csr.indptr, csr.targets, *arrays
+            )
+        else:
+            targets, sources, cols = vp.fan_out(rank, csr, vloc, vglob)
+        total = len(targets)
+        if total == 0:
             return
-        targets = csr.targets[sl:se].tolist()
-        # One kernel evaluation per carried env key; scalars (e.g. the
-        # input vertex id, dist[v]+... candidates on uniform graphs) stay
-        # scalar, per-edge values become aligned lists.
-        cols: list = []  # (slot, per_edge_list or None, scalar_value)
-        for slot, kern in vp.carry_vecs:
-            val = np.asarray(kern(rank, local, sl, se, v))
-            if val.ndim == 0:
-                cols.append((slot, None, val.tolist()))
-            else:
-                cols.append((slot, val.tolist(), None))
-        send = ctx.send
-        mtype = self.mtype
-        esi = vp.eval_si
-        eval_step = self.plan.cond_plans[0].steps[esi]
-        loc_key, cand_key = eval_step._loc_key, vp.cand_key
-        cand_col = (vp.cand_pos - 4) // 2
-        for i, t in enumerate(targets):
-            if t == v:
-                # self-loop: the eval step runs inline at v (as elision
-                # would); only the candidate matters to the merged handler
-                _, per_edge, scalar = cols[cand_col]
-                c = per_edge[i] if per_edge is not None else scalar
-                self._walk_fn(ctx, v, 0, esi, {loc_key: v, cand_key: c})
-                continue
-            payload: list = [t, 0, esi]
-            for slot, per_edge, scalar in cols:
-                payload.append(slot)
-                payload.append(per_edge[i] if per_edge is not None else scalar)
-            send(mtype, tuple(payload))
+        # The one address resolution of the fan-out: owner_array raises
+        # IndexError for an out-of-range target, as Partition.owner does.
+        owners = part.owner_array(targets)
+        n_ranks = ctx.machine.n_ranks
+        if owners.min() < 0 or owners.max() >= n_ranks:
+            raise ValueError(
+                f"owner map returned a rank outside [0, {n_ranks}) for a "
+                f"target of {self.name}"
+            )
+        if fused:
+            stats.count_native("fused_rounds")
+            inline = owners == rank
+        else:
+            inline = targets == sources  # self-loops
+        n_inline = int(np.count_nonzero(inline))
+        if n_inline:
+            if fused:
+                stats.count_native("fused_edges", n_inline)
+            self._apply_batch(ctx, targets[inline], cols[vp.cand_col][inline])
+            if n_inline == total:
+                return
+            keep = ~inline
+            targets, owners = targets[keep], owners[keep]
+            cols = [c[keep] for c in cols]
+        if fused:
+            if len(targets) > 1:
+                # Confluent extremum: of several candidates fanned out to
+                # the same remote vertex in one round, only the best can
+                # survive the compare-and-assign — dominated rows change
+                # neither the final map nor the dependent set, so drop
+                # them before they reach the wire.
+                cand = cols[vp.cand_col]
+                order = np.lexsort((cand, targets))
+                ts = targets[order]
+                best = np.empty(len(ts), dtype=bool)
+                if vp.minimize:
+                    best[0] = True  # first of each ascending-cand group
+                    np.not_equal(ts[1:], ts[:-1], out=best[1:])
+                else:
+                    best[-1] = True  # last of each group: the max
+                    np.not_equal(ts[1:], ts[:-1], out=best[:-1])
+                keep = order[best]
+                if len(keep) < len(targets):
+                    keep.sort()  # preserve generation order on the wire
+                    targets, owners = targets[keep], owners[keep]
+                    cols = [c[keep] for c in cols]
+            stats.count_native("remote_rows", len(targets))
+        self._send_columns(ctx, targets, owners, cols)
 
-    def _batch_handler(self, ctx, payloads: tuple) -> None:
-        """Vectorized delivery of one coalesced envelope (fast_path="vector").
+    def _send_columns(self, ctx, targets, owners, cols) -> None:
+        """Ship fan-out rows as column batches, one stable split per rank.
+
+        With a single coalescing layer and spans off, each destination
+        rank's rows are appended to its buffer as columns, with the exact
+        flush boundaries sequential ``ctx.send`` calls would produce —
+        logical send counts, flush counts and envelope contents are
+        unchanged.  Any other configuration (telemetry spans,
+        reduction/caching layers, no coalescing) must see every row: the
+        columns are iterated and each row takes the ordinary send path.
+        """
+        batch = WireBatch(self.vector_plan.payload_columns(targets, cols), len(targets))
+        machine = ctx.machine
+        layer = self._bulk_layer
+        if layer is None or machine.telemetry.spans_on:
+            send = ctx.send
+            mtype = self.mtype
+            for row in batch:
+                send(mtype, row)
+            return
+        src = ctx.rank
+        counts = np.bincount(owners, minlength=machine.n_ranks)
+        with machine.transport.bulk_guard:
+            if counts.max() == batch.nrows:
+                layer.send_rows(src, int(owners[0]), batch)
+                return
+            batch = batch.take(np.argsort(owners, kind="stable"))
+            lo = 0
+            for r, n in enumerate(counts.tolist()):
+                if n:
+                    layer.send_rows(src, r, batch[lo : lo + n])
+                    lo += n
+
+    def _batch_handler(self, ctx, payloads) -> None:
+        """Vectorized delivery of one coalesced envelope.
 
         Payloads addressed at the recognized eval step are applied as one
-        scatter kernel; anything else (generator starts, unrecognized
-        resume points) falls back to the scalar handler, preserving exact
-        semantics for the long tail.
+        scatter kernel and every generator start of the envelope joins one
+        multi-source fan-out; anything else (unrecognized resume points)
+        falls back to the scalar handler, preserving exact semantics for
+        the long tail.  A column batch — flushed by the coalescing layer
+        on ``sim``/``threads``, decoded from a frame on ``process`` — is
+        consumed column-wise; row tuples are recognized one by one.
         """
         vp = self.vector_plan
         esi = vp.eval_si
         plen, sig, cand_pos = vp.payload_len, vp.slot_sig, vp.cand_pos
-        np_plan = self.native_plan
+        tel = ctx.machine.telemetry
         if isinstance(payloads, WireBatch):
-            if (
-                np_plan is not None
-                and payloads.ncols == 3
-                and payloads.col_const(1) == -1
-            ):
+            if payloads.ncols == 3 and payloads.col_const(1) == -1:
                 # A whole frame of generator starts (work-hook re-invokes,
-                # driver injections): one fused multi-source fan-out call
-                # consumes the columnar frame, zero per-row dispatch.
-                tel = ctx.machine.telemetry
+                # driver injections): zero per-row dispatch.
                 if tel.spans_on:
-                    tel.annotate(native_starts=len(payloads))
-                self._native_generate(ctx, payloads.column(0))
+                    tel.annotate(starts=len(payloads))
+                self._fan_out(ctx, payloads.column(0))
                 return
             if payloads.ncols == plen:
-                # Columnar wire delivery (process transport): test the
-                # recognition predicate column-wise instead of per row, and
-                # feed the destination/candidate columns straight into the
-                # scatter kernel — per-row tuples are never materialized.
-                if self._batch_handler_columnar(ctx, payloads, esi, sig, cand_pos):
-                    return
+                self._batch_handler_columnar(ctx, payloads, esi, sig, cand_pos)
+                return
         dests: list = []
         cands: list = []
         starts: list = []
         rest: list = []
-        batch_starts = np_plan is not None
         for p in payloads:
             if (
                 len(p) == plen
@@ -589,29 +644,29 @@ class BoundAction:
             ):
                 dests.append(p[0])
                 cands.append(p[cand_pos])
-            elif batch_starts and len(p) == 3 and p[1] == -1:
+            elif len(p) == 3 and p[1] == -1:
                 starts.append(p[0])
             else:
                 rest.append(p)
-        tel = ctx.machine.telemetry
         if tel.spans_on:
             tel.annotate(vectorized=len(dests), fallback=len(rest) + len(starts))
         if dests:
             self._apply_batch(ctx, dests, cands)
             ctx.stats.count_vector_items(self.mtype.name, len(dests))
         if starts:
-            self._native_generate(ctx, starts)
+            self._fan_out(ctx, starts)
         for p in rest:
             self._handler(ctx, p)
 
-    def _batch_handler_columnar(self, ctx, wb: WireBatch, esi, sig, cand_pos) -> bool:
-        """Zero-copy vectorized delivery of a decoded wire batch.
+    def _batch_handler_columnar(self, ctx, wb: WireBatch, esi, sig, cand_pos) -> None:
+        """Column-wise delivery of a batch shaped like eval-step payloads.
 
-        Returns True when the whole envelope was consumed (all rows either
-        scattered or routed to the scalar fallback); False to let the
-        caller run the generic per-row path (only when a predicate column
-        is non-constant *and* mixed, which the fast-path send shape never
-        produces — every row it emits shares ``ci==0``/``si``/slot ids).
+        The recognition predicate is tested per column instead of per
+        row, and the destination/candidate columns feed the scatter kernel
+        directly — per-row tuples are only materialized for rows a
+        non-constant predicate column rules out (which the fast-path send
+        shape never produces: every row it emits shares
+        ``ci==0``/``si``/slot ids).
         """
         # Recognition predicate: ci == 0, si == esi, slot ids match.
         checks = [(1, 0), (2, esi)] + [(3 + 2 * i, s) for i, s in enumerate(sig)]
@@ -628,12 +683,12 @@ class BoundAction:
         tel = ctx.machine.telemetry
         if mask is None:
             # Every row matches: the common case for coalesced fast-path
-            # traffic (constant ci/si/slot columns elided on the wire).
+            # traffic (constant ci/si/slot columns are scalars).
             if tel.spans_on:
                 tel.annotate(vectorized=len(wb), fallback=0)
             self._apply_batch(ctx, *wb.columns(0, cand_pos))
             ctx.stats.count_vector_items(self.mtype.name, len(wb))
-            return True
+            return
         n_match = int(mask.sum())
         if tel.spans_on:
             tel.annotate(vectorized=n_match, fallback=len(wb) - n_match)
@@ -645,31 +700,41 @@ class BoundAction:
         rows = wb._materialize()
         for i in np.nonzero(~mask)[0]:
             self._handler(ctx, rows[int(i)])
-        return True
 
-    def _vector_apply(self, ctx, dests, cands) -> None:
+    def _apply_batch(self, ctx, dests, cands) -> None:
         """Apply a batch of candidate values as one extremum scatter.
 
         Equivalent to running the merged eval+modify handler once per
         payload: the scatter's compare-and-update *is* the condition test
-        plus assignment, applied under every touched vertex's lock.  The
-        work hook fires once per vertex whose value the batch improved —
-        the same dependent-vertex set the scalar walk discovers (it may
-        fire fewer times for vertices improved repeatedly within one
-        batch, which only dedupes re-activation).
+        plus assignment, applied under every touched vertex's lock (the
+        native tier runs its generated ``scatter``/``collect`` kernels in
+        place of ``scatter_extremum``/``np.unique``).  The work hook fires
+        once per vertex whose value the batch improved — the same
+        dependent-vertex set the scalar walk discovers (it may fire fewer
+        times for vertices improved repeatedly within one batch, which
+        only dedupes re-activation).
         """
         vp = self.vector_plan
+        np_plan = self.native_plan
         dv = np.asarray(dests, dtype=np.int64)
         cv = np.asarray(cands)
         local = self.bound.graph.partition.local_index_array(dv)
-        self.assign_count += len(dests)
-        with self.bound.lockmap.lock_many(dests):
-            changed = vp.target_map.scatter_extremum(
-                ctx.rank, local, cv, minimize=vp.minimize
-            )
+        self.assign_count += len(dv)
+        with self.bound.lockmap.lock_many(dv):
+            if np_plan is None:
+                changed = vp.target_map.scatter_extremum(
+                    ctx.rank, local, cv, minimize=vp.minimize
+                )
+            else:
+                changed = vp.target_map.scatter_with(
+                    ctx.rank, local, cv, np_plan.kernels["scatter"]
+                )
         if not changed.any():
             return
-        touched = np.unique(dv[changed])
+        if np_plan is None:
+            touched = np.unique(dv[changed])
+        else:
+            touched = np_plan.kernels["collect"](dv, changed)
         self.change_count += len(touched)
         if vp.dependent:
             # Fired after the locks are released: the hook may send (and
@@ -681,137 +746,6 @@ class BoundAction:
                 stats.count_work_item()
                 if work is not None:
                     work(ctx, w)
-
-    # -- tier 3: native generated kernels (fast_path="native") ----------------------
-    def _native_generate(self, ctx, starts) -> None:
-        """Fused multi-source fan-out through the generated kernels.
-
-        One ``fanout`` call evaluates every carried payload column for
-        every edge of every start vertex in ``starts``.  When the planner
-        proved the gather -> evaluate pair fusable
-        (:func:`~repro.patterns.locality.fusion_report`), rank-local edges
-        are applied inline under the destination locks — the collapsed
-        message round — and only rank-remote edges are packed into wire
-        rows.  Payload values are bit-identical to the vector path's (the
-        generated column expressions are the same numpy operations).
-        """
-        np_plan = self.native_plan
-        if not np_plan.fused:
-            # Fusion not proven: keep the vector path's per-vertex message
-            # semantics (static_message_count without the fused discount).
-            for v in starts if not isinstance(starts, np.ndarray) else starts.tolist():
-                self._vector_generate(ctx, int(v))
-            return
-        g = self.bound.graph
-        rank = ctx.rank
-        csr = g.locals[rank]
-        vglob = np.asarray(starts, dtype=np.int64)
-        locs = g.partition.local_index_array(vglob)
-        arrays = [m.local_slice(rank) for m in np_plan.vmaps] + [
-            m.local_slice(rank) for m in np_plan.emaps
-        ]
-        out = np_plan.kernels["fanout"](
-            locs, vglob, csr.indptr, csr.targets, *arrays
-        )
-        t, cols = out[0], out[1:]
-        total = t.shape[0]
-        if total == 0:
-            return
-        stats = ctx.stats
-        stats.count_native("fused_rounds")
-        cand = cols[np_plan.cand_col]
-        owners = g.partition.owner_array(t)
-        local_mask = owners == rank
-        n_local = int(local_mask.sum())
-        if n_local:
-            stats.count_native("fused_edges", n_local)
-            if n_local == total:
-                self._native_apply(ctx, t, cand)
-                return
-            self._native_apply(ctx, t[local_mask], cand[local_mask])
-        if n_local < total:
-            remote = ~local_mask
-            rt = t[remote]
-            rowners = owners[remote]
-            rcols = [c[remote] for c in cols]
-            if rt.shape[0] > 1:
-                # Confluent extremum: of several candidates fanned out to
-                # the same remote vertex in one round, only the best can
-                # survive the compare-and-assign — dominated rows change
-                # neither the final map nor the dependent set, so drop
-                # them before they reach the wire.
-                rcand = rcols[np_plan.cand_col]
-                order = np.lexsort((rcand, rt))
-                ts = rt[order]
-                best = np.empty(ts.shape[0], dtype=bool)
-                if np_plan.vector.minimize:
-                    best[0] = True  # first of each ascending-cand group
-                    np.not_equal(ts[1:], ts[:-1], out=best[1:])
-                else:
-                    best[-1] = True  # last of each group: the max
-                    np.not_equal(ts[1:], ts[:-1], out=best[:-1])
-                keep = order[best]
-                if keep.shape[0] < rt.shape[0]:
-                    keep.sort()  # preserve generation order on the wire
-                    rt = rt[keep]
-                    rowners = rowners[keep]
-                    rcols = [c[keep] for c in rcols]
-            stats.count_native("remote_rows", rt.shape[0])
-            self._native_send_rows(ctx, rt, rowners, rcols)
-
-    def _native_apply(self, ctx, dests, cands) -> None:
-        """Batch compare-and-update through the generated scatter kernel.
-
-        Twin of :meth:`_vector_apply` — same locking, change accounting
-        and work-hook firing — with the extremum loop and dependent-set
-        collection delegated to the per-schema kernels.
-        """
-        np_plan = self.native_plan
-        vp = self.vector_plan
-        dv = np.asarray(dests, dtype=np.int64)
-        cv = np.asarray(cands)
-        local = self.bound.graph.partition.local_index_array(dv)
-        self.assign_count += len(dv)
-        with self.bound.lockmap.lock_many(dv):
-            changed = vp.target_map.scatter_with(
-                ctx.rank, local, cv, np_plan.kernels["scatter"]
-            )
-        if not changed.any():
-            return
-        touched = np_plan.kernels["collect"](dv, changed)
-        self.change_count += len(touched)
-        if vp.dependent:
-            stats = ctx.stats
-            work = self.work
-            for w in touched.tolist():
-                stats.count_work_item()
-                if work is not None:
-                    work(ctx, w)
-
-    def _native_send_rows(self, ctx, dests, owners, cols) -> None:
-        """Ship rank-remote fan-out rows, bulk when provably equivalent.
-
-        With a single coalescing layer and spans off, rows are appended
-        straight into the per-destination buffers with the exact flush
-        boundaries sequential ``ctx.send`` calls would produce — logical
-        send counts, flush counts and envelope contents are unchanged.
-        Any other configuration (telemetry spans, reduction/caching
-        layers, no coalescing) takes the ordinary per-row send path.
-        """
-        pack = self.native_plan.kernels["pack"]
-        machine = ctx.machine
-        layer = self._bulk_layer
-        if layer is not None and not machine.telemetry.spans_on:
-            src = ctx.rank
-            for r in np.unique(owners).tolist():
-                mask = owners == r
-                rows = pack(dests[mask], *[c[mask] for c in cols])
-                layer.send_rows(src, int(r), rows)
-            return
-        send = ctx.send
-        mtype = self.mtype
-        for p in pack(dests, *cols):
-            send(mtype, p)
 
     # -- introspection ------------------------------------------------------------
     def describe(self) -> str:

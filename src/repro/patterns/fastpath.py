@@ -19,12 +19,15 @@ values to the interpreted walk.
 Plans matching the SSSP-relax / CC-hook shape — a single ``out_edges`` or
 ``adj`` generator, one merged comparison condition, and one min/max-style
 assignment at the generated neighbour — are additionally compiled to
-*batch kernels*: a whole coalesced envelope of payloads is executed as
-numpy operations over ``LocalCSR`` arrays and property-map backing arrays
-(``np.minimum.at``-style scatter), with dependent-vertex ``work`` hooks
-fired from the changed mask.  Plans outside the shape fall back to the
-scalar path; the machine's ``fast_path`` flag ("off" | "compiled" |
-"vector") keeps the interpreted path available as the correctness oracle.
+*batch kernels*: every generator start of a delivered envelope fans out in
+one call (carry kernels over per-edge index arrays into ``LocalCSR`` and
+property-map backing arrays), the rows travel as column batches
+(:class:`~repro.runtime.wire.WireBatch`) and a whole coalesced envelope is
+applied as one ``np.minimum.at``-style scatter, with dependent-vertex
+``work`` hooks fired from the changed mask.  Plans outside the shape fall
+back to the scalar path; the machine's ``fast_path`` flag ("off" |
+"compiled" | "vector" | "native") keeps the interpreted path available as
+the correctness oracle.
 
 Single-vertex consistency (paper Sec. IV-A merging) is preserved: the
 batch kernel takes every destination vertex's lock before mutating and a
@@ -330,9 +333,10 @@ class VectorPlan:
     than the candidate (liveness keeps e.g. the input vertex id alive even
     when the eval handler never consults it).  ``carry_vecs`` reproduces
     that exact layout — one ``(slot, kernel)`` per carried env key in env
-    insertion order, each kernel ``f(rank, local, sl, se, v)`` returning a
-    scalar or per-edge array — so vectorized sends are indistinguishable
-    from scalar ones on the wire.
+    insertion order, each kernel ``f(rank, vloc, eidx, vglob)`` over
+    per-edge index arrays (source local index, arc position, source global
+    id) returning a per-edge array or a scalar — so vectorized sends are
+    indistinguishable from scalar ones on the wire.
     """
 
     generator: str  # 'out_edges' | 'adj'
@@ -350,22 +354,56 @@ class VectorPlan:
     # carried value to generated kernel source instead of closures.
     carry_exprs: list
 
+    @property
+    def cand_col(self) -> int:
+        """The candidate's index among the carried columns."""
+        return (self.cand_pos - 4) // 2
+
+    def fan_out(self, rank: int, csr, vloc: np.ndarray, vglob: np.ndarray) -> tuple:
+        """``(targets, sources, columns)`` over every out-edge of a batch
+        of start vertices (local indices ``vloc``, global ids ``vglob``).
+
+        Edges come vertex by vertex in CSR order; ``columns`` holds one
+        per-edge array per carried env key, in payload order.
+        """
+        start, eidx = edge_index_arrays(csr.indptr, vloc)
+        src, src_loc = vglob[start], vloc[start]
+        cols = []
+        for _slot, kern in self.carry_vecs:
+            col = np.asarray(kern(rank, src_loc, eidx, src))
+            cols.append(col if col.ndim else np.full(len(eidx), col))
+        return csr.targets[eidx], src, cols
+
+    def payload_columns(self, targets: np.ndarray, cols: list) -> list:
+        """Eval-step payloads for one row per target, column-wise.
+
+        The scalar walk's layout ``(dest, 0, eval_si, slot, value, ...)``
+        with one entry per payload slot: the per-row arrays, and scalars
+        for the step indices and slot ids every row shares.
+        """
+        out: list = [targets, 0, self.eval_si]
+        for slot, col in zip(self.slot_sig, cols):
+            out += (slot, col)
+        return out
+
 
 def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable]:
     """Compile a source-local scalar expression to a per-edge numpy kernel.
 
-    The kernel signature is ``f(rank, local, sl, se)`` where ``local`` is
-    the source vertex's local index and ``[sl, se)`` its arc range in the
-    rank's CSR; it returns a scalar or an array of length ``se - sl``.
-    Returns ``None`` when the expression is outside the vectorizable
-    fragment (non-numeric maps, reads not at the source, set operations).
+    The kernel signature is ``f(rank, vloc, eidx)`` over per-edge index
+    arrays: ``vloc[i]`` is the local index of edge ``i``'s source vertex
+    and ``eidx[i]`` its arc position in the rank's CSR, so one call serves
+    every edge of every start vertex of a fan-out.  It returns a per-edge
+    array, or a scalar for a constant.  Returns ``None`` when the
+    expression is outside the vectorizable fragment (non-numeric maps,
+    reads not at the source, set operations).
     """
     expr = unalias(expr)
     if isinstance(expr, Const):
         v = expr.value
         if not isinstance(v, (int, float, bool)):
             return None
-        return lambda rank, local, sl, se: v
+        return lambda rank, vloc, eidx: v
     if isinstance(expr, PropRead):
         pm = bound.maps.get(expr.decl.name)
         if pm is None or pm.dtype is object or pm.dtype == "object":
@@ -373,7 +411,7 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
         idx = unalias(expr.index)
         if isinstance(idx, InputVertex) and isinstance(pm, VertexPropertyMap):
             slc = pm.local_slice
-            return lambda rank, local, sl, se, _s=slc: _s(rank)[local]
+            return lambda rank, vloc, eidx, _s=slc: _s(rank)[vloc]
         if (
             generator == "out_edges"
             and isinstance(idx, GenVar)
@@ -381,7 +419,7 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
             and isinstance(pm, EdgePropertyMap)
         ):
             slc = pm.local_slice
-            return lambda rank, local, sl, se, _s=slc: _s(rank)[sl:se]
+            return lambda rank, vloc, eidx, _s=slc: _s(rank)[eidx]
         return None
     if isinstance(expr, BinOp):
         left = _compile_vector_expr(expr.left, bound, generator)
@@ -391,30 +429,43 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
         op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[
             expr.op
         ]
-        return lambda rank, local, sl, se, _l=left, _r=right, _op=op: _op(
-            _l(rank, local, sl, se), _r(rank, local, sl, se)
+        return lambda rank, vloc, eidx, _l=left, _r=right, _op=op: _op(
+            _l(rank, vloc, eidx), _r(rank, vloc, eidx)
         )
     if isinstance(expr, Call):
         args = [_compile_vector_expr(a, bound, generator) for a in expr.args]
         if any(a is None for a in args) or len(args) < 1:
             return None
         if expr.fn_name == "abs" and len(args) == 1:
-            return lambda rank, local, sl, se, _a=args[0]: np.abs(
-                _a(rank, local, sl, se)
-            )
+            return lambda rank, vloc, eidx, _a=args[0]: np.abs(_a(rank, vloc, eidx))
         if expr.fn_name in ("min", "max") and len(args) >= 2:
             op = np.minimum if expr.fn_name == "min" else np.maximum
 
-
-            def reduce_(rank, local, sl, se, _args=tuple(args), _op=op):
-                acc = _args[0](rank, local, sl, se)
+            def reduce_(rank, vloc, eidx, _args=tuple(args), _op=op):
+                acc = _args[0](rank, vloc, eidx)
                 for a in _args[1:]:
-                    acc = _op(acc, a(rank, local, sl, se))
+                    acc = _op(acc, a(rank, vloc, eidx))
                 return acc
 
             return reduce_
         return None
     return None
+
+
+def edge_index_arrays(indptr: np.ndarray, vloc: np.ndarray) -> tuple:
+    """Per-edge ``(start, eidx)`` for a batch of start vertices.
+
+    ``eidx`` lists the CSR arc positions of every out-arc of every vertex
+    in ``vloc`` (local indices), vertex by vertex in CSR order — the order
+    a per-vertex generator loop would visit them — and ``start[i]`` is the
+    position within ``vloc`` of the vertex arc ``eidx[i]`` leaves.
+    """
+    begin = indptr[vloc]
+    counts = indptr[vloc + 1] - begin
+    total = int(counts.sum())
+    start = np.repeat(np.arange(len(vloc)), counts)
+    offset = begin - (np.cumsum(counts) - counts)
+    return start, np.arange(total) + np.repeat(offset, counts)
 
 
 def recognize_vector_shape(ba) -> Optional[VectorPlan]:
@@ -531,13 +582,13 @@ def recognize_vector_shape(ba) -> Optional[VectorPlan]:
     for i, k in enumerate(payload_keys):
         src_e = key_expr.get(k)
         if src_e is _INPUT_VALUE:
-            kern = lambda rank, local, sl, se, v: v  # noqa: E731
+            kern = lambda rank, vloc, eidx, vglob: vglob  # noqa: E731
         elif isinstance(src_e, Expr):
             inner = _compile_vector_expr(src_e, ba.bound, gen.source)
             if inner is None:
                 return None
             kern = (
-                lambda _f: lambda rank, local, sl, se, v: _f(rank, local, sl, se)
+                lambda _f: lambda rank, vloc, eidx, vglob: _f(rank, vloc, eidx)
             )(inner)
         else:
             return None

@@ -38,7 +38,8 @@ from typing import Callable, Optional
 
 #: Bump when the generated source layout changes incompatibly; keys are
 #: derived from (version, spec) so old disk entries simply stop matching.
-CODEGEN_VERSION = 1
+#: 2: the ``pack`` kernel is gone (rows leave the fan-out as columns).
+CODEGEN_VERSION = 2
 
 _ENV_DIR = "REPRO_KERNEL_CACHE"
 

@@ -2,11 +2,11 @@
 
 The vector tier (:mod:`repro.patterns.fastpath`) interprets a recognized
 plan shape through a fixed set of closures — one ``np.minimum.at`` here,
-one per-edge ``ctx.send`` loop there.  This module instead *generates a
+one numpy closure per carried column there.  This module instead *generates a
 Python module* specialized on the (pattern shape, property dtypes, wire
 schema) triple and loads it through the two-level kernel cache
 (:mod:`repro.patterns.kernelcache`).  The generated module defines
-``make(jit)`` returning four kernels:
+``make(jit)`` returning three kernels:
 
 ``fanout``
     Multi-source generator fan-out: given a batch of start vertices, one
@@ -17,10 +17,6 @@ schema) triple and loads it through the two-level kernel cache
     The merged eval+modify loop: in-place compare-and-update of the
     target map with the exact changed-mask semantics of
     ``scatter_extremum``.
-``pack``
-    Wire-row construction for rank-remote edges — slot ids and the eval
-    step index are baked in as literals, producing payload tuples
-    bit-identical to the scalar walk's.
 ``collect``
     Dependent-set collection (unique changed destinations).
 
@@ -35,7 +31,8 @@ this keeps the whole native tier testable where numba is absent.
 the plan's gather -> evaluate pair legal to fuse (source-local candidate
 plus confluent extremum update), the executor applies rank-local edges
 inline from the fanout output — no message at all — and only remote
-edges travel the wire; ``ActionPlan.static_message_count(fused=True)``
+edges travel the wire, as the same column batches the vector tier sends
+(``BoundAction._send_columns``); ``ActionPlan.static_message_count(fused=True)``
 reflects the collapsed round.
 """
 
@@ -84,10 +81,9 @@ class NativePlan:
     origin: str  # "memory" | "disk" | "compile"
     backend: str  # "jit" | "interp"
     fused: bool  # gather->evaluate fusion proven legal
-    kernels: dict  # fanout / scatter / pack / collect
+    kernels: dict  # fanout / scatter / collect
     vmaps: list  # VertexPropertyMap args, in V0.. order
     emaps: list  # EdgePropertyMap args, in E0.. order
-    cand_col: int  # candidate's index among the carried columns
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +214,11 @@ def generate_source(spec: dict) -> str:
     """Emit the kernel module for one canonical spec.
 
     The module is pure generated text: every schema-dependent quantity —
-    column expressions, dtypes, slot ids, the eval step index, the
-    comparison direction — is baked in as a literal, so both backends
-    run straight-line specialized code.
+    column expressions, dtypes, the comparison direction — is baked in as
+    a literal, so both backends run straight-line specialized code.  (The
+    payload layout — slot ids, eval step index — stays in the spec as part
+    of the wire schema the kernels were generated against; rows leave as
+    columns, :meth:`~repro.patterns.fastpath.VectorPlan.payload_columns`.)
     """
     ncols = len(spec["cols"])
     nv, ne = len(spec["vdtypes"]), len(spec["edtypes"])
@@ -293,19 +291,6 @@ def generate_source(spec: dict) -> str:
     a("                arr[j] = vals[i]")
     a(f"        return arr[idx] {cmp} before")
     a("")
-    # -- wire-row packing (remote edges) ----------------------------------
-    row = f"(d, 0, {spec['esi']}"
-    for i, s in enumerate(spec["slots"]):
-        row += f", {s}, x{i}"
-    row += ")"
-    xvars = ", ".join(["d"] + [f"x{i}" for i in range(ncols)])
-    lists = ", ".join(["dest.tolist()"] + [f"{c}.tolist()" for c in cvars])
-    a(f"    def pack(dest, {', '.join(cvars)}):")
-    a("        return [")
-    a(f"            {row}")
-    a(f"            for {xvars} in zip({lists})")
-    a("        ]")
-    a("")
     # -- dependent-set collection -----------------------------------------
     a("    def collect(dv, changed):")
     a("        return np.unique(dv[changed])")
@@ -316,8 +301,7 @@ def generate_source(spec: dict) -> str:
     a("    else:")
     a("        fanout = fanout_vec")
     a("        scatter = scatter_vec")
-    a('    return {"fanout": fanout, "scatter": scatter, "pack": pack,')
-    a('            "collect": collect}')
+    a('    return {"fanout": fanout, "scatter": scatter, "collect": collect}')
     a("")
     return "\n".join(out)
 
@@ -349,14 +333,13 @@ def build_native_plan(ba) -> Optional[NativePlan]:
         if c is None:
             return None
         cols.append(c)
-    cand_col = (vp.cand_pos - 4) // 2
     spec = {
         "kind": "extremum_fanout",
         "generator": vp.generator,
         "minimize": bool(vp.minimize),
         "esi": int(vp.eval_si),
         "slots": [int(s) for s in vp.slot_sig],
-        "cand_col": int(cand_col),
+        "cand_col": int(vp.cand_col),
         "target_dtype": np.dtype(vp.target_map.dtype).name,
         "vdtypes": low.vdtypes,
         "edtypes": low.edtypes,
@@ -382,5 +365,4 @@ def build_native_plan(ba) -> Optional[NativePlan]:
         kernels=kernels,
         vmaps=low.vmaps,
         emaps=low.emaps,
-        cand_col=cand_col,
     )

@@ -22,6 +22,8 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
+import numpy as np
+
 from .property_map import VertexPropertyMap
 
 
@@ -72,9 +74,17 @@ class LockMap:
         return self.lock_for(v)
 
     def lock_many(self, vertices):
-        """Acquire several vertex locks deadlock-free (sorted by lock index)."""
-        idx = sorted({v // self.block_size for v in vertices})
-        return _MultiLock([self._locks[i] for i in idx])
+        """Acquire several vertex locks deadlock-free (sorted by lock index).
+
+        ``vertices`` is an integer ndarray (the batch kernels pass the
+        destination column as is) or any sequence of vertex ids.
+        """
+        v = np.asarray(vertices, dtype=np.int64)
+        bad = (v < 0) | (v >= max(self.n_vertices, 1))
+        if bad.any():
+            raise IndexError(f"vertex {v[bad][0]} out of range")
+        locks = self._locks
+        return _MultiLock([locks[i] for i in np.unique(v // self.block_size).tolist()])
 
     # -- single-value atomics (paper: "atomic instructions where supported") --
     def atomic_update(

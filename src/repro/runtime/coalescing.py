@@ -15,9 +15,50 @@ mailboxes run dry (mirroring AM++'s end-of-epoch flush).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from .layers import Emit, Layer
+from .wire import WireBatch
+
+
+class _ColumnBuffer:
+    """One (src, dest) buffer once a bulk send has touched it.
+
+    Holds column chunks — and any scalar payloads that arrive between
+    them — in arrival order.  It stands in for the plain row list:
+    ``append`` and ``len`` are all :meth:`CoalescingLayer.send` asks of a
+    buffer, so the scalar path runs the same statements on either kind and
+    the chunks' row counts live here, with the buffer they belong to.
+    """
+
+    __slots__ = ("entries", "nrows", "scalar_rows")
+
+    def __init__(self, rows=()) -> None:
+        self.entries: list = list(rows)
+        self.nrows = self.scalar_rows = len(self.entries)
+
+    def __len__(self) -> int:
+        return self.nrows
+
+    def append(self, payload) -> None:
+        self.entries.append(payload)
+        self.nrows += 1
+        self.scalar_rows += 1
+
+    def add(self, chunk: WireBatch) -> None:
+        self.entries.append(chunk)
+        self.nrows += chunk.nrows
+
+    def take(self):
+        """The buffered rows as one frozen envelope body: a column batch
+        when only chunks are held, otherwise row tuples in arrival order."""
+        if not self.scalar_rows:
+            return WireBatch.concat(self.entries).freeze()
+        rows: list = []
+        for e in self.entries:
+            if isinstance(e, WireBatch):
+                rows.extend(e)
+            else:
+                rows.append(e if isinstance(e, tuple) else tuple(e))
+        return tuple(rows)
 
 
 class CoalescingLayer(Layer):
@@ -35,8 +76,8 @@ class CoalescingLayer(Layer):
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         self.buffer_size = buffer_size
-        # _buffers[src][dest] -> list of payload tuples
-        self._buffers: dict[int, dict[int, list]] = {}
+        # _buffers[src][dest] -> list of payload tuples, or a _ColumnBuffer
+        self._buffers: dict[int, dict] = {}
 
     def attach(self, machine, mtype) -> None:
         super().attach(machine, mtype)
@@ -50,25 +91,36 @@ class CoalescingLayer(Layer):
         if len(buf) >= self.buffer_size:
             self._flush_one(key, dest)
 
-    def send_rows(self, src: int, dest: int, rows: list) -> None:
-        """Bulk-append pre-admitted payload rows for one destination.
+    def send_rows(self, src: int, dest: int, columns: WireBatch) -> None:
+        """Bulk-append pre-admitted payload rows, held as columns.
 
-        Used by the native fast path for rank-remote fan-out rows.  The
-        buffer fills and flushes at exactly the boundaries a sequence of
-        :meth:`send` calls would produce, so logical send counts, flush
-        counts and envelope contents are identical to the per-row path —
-        only the per-payload layer-walk overhead disappears.
+        The columnar entry point of the vector/native fan-out.  The buffer
+        fills and flushes at exactly the boundaries ``columns.nrows``
+        sequential :meth:`send` calls would produce, so logical send
+        counts, flush counts and envelope contents are identical to the
+        per-row path.  An envelope cut entirely from column chunks ships
+        as a column batch; one that also holds scalar payloads (the
+        ``(r, r)`` buffer mixes driver starts with local fan-out) ships as
+        row tuples in arrival order.
         """
         key = src if src >= 0 else dest
-        buf = self._buffers[key].setdefault(dest, [])
-        n = len(rows)
-        i = 0
+        per_dest = self._buffers[key]
         size = self.buffer_size
+        n = columns.nrows
+        i = 0
         while i < n:
-            take = min(size - len(buf), n - i)
-            buf.extend(rows[i : i + take])
+            buf = per_dest.setdefault(dest, [])
+            if not buf and n - i >= size:
+                # A full envelope straight from the columns.
+                self._ship(key, dest, columns[i : i + size].freeze())
+                i += size
+                continue
+            if type(buf) is not _ColumnBuffer:
+                buf = per_dest[dest] = _ColumnBuffer(buf)
+            take = min(size - buf.nrows, n - i)
+            buf.add(columns[i : i + take])
             i += take
-            if len(buf) >= size:
+            if buf.nrows >= size:
                 self._flush_one(key, dest)
 
     def _flush_one(self, src: int, dest: int) -> int:
@@ -76,18 +128,27 @@ class CoalescingLayer(Layer):
         if not buf:
             return 0
         # Freeze at flush time: both the envelope body and every payload in
-        # it become immutable tuples.  A chaos-duplicated envelope shares
-        # the payload objects between deliveries — if a handler mutated a
-        # list-shaped payload in its first delivery, the duplicate would
-        # observe the mutation.  Tuples make that impossible.
-        items = tuple(p if isinstance(p, tuple) else tuple(p) for p in buf)
-        buf.clear()
+        # it become immutable tuples (column batches: read-only arrays).  A
+        # chaos-duplicated envelope shares the payload objects between
+        # deliveries — if a handler mutated a list-shaped payload in its
+        # first delivery, the duplicate would observe the mutation.
+        if type(buf) is _ColumnBuffer:
+            # Back to a plain row list until the next bulk send (in place:
+            # the key keeps its position in the end-of-epoch flush order).
+            self._buffers[src][dest] = []
+            items = buf.take()
+        else:
+            items = tuple(p if isinstance(p, tuple) else tuple(p) for p in buf)
+            buf.clear()
+        self._ship(src, dest, items)
+        return len(items)
+
+    def _ship(self, src: int, dest: int, items) -> None:
         self.machine.stats.count_flush(self.mtype.name, len(items))
         # Bypass upper layers: a flush is a physical transfer of already-
-        # admitted payloads.  run through *lower* layers? Coalescing is
-        # conventionally the innermost layer, so ship directly.
+        # admitted payloads.  Coalescing is conventionally the innermost
+        # layer, so ship directly.
         self.machine.transport.wire_batch(self.mtype, src, dest, items)
-        return len(items)
 
     def flush(self, src: int, emit: Emit) -> int:
         flushed = 0

@@ -56,6 +56,7 @@ class ThreadTransport(Transport):
         self._started = False
         # RLock: flushing a layer re-enters the send path for lower layers.
         self._layer_lock = threading.RLock()
+        self.bulk_guard = self._layer_lock
         self._workers: list[threading.Thread] = []
 
     # -- lifecycle ----------------------------------------------------------

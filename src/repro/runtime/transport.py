@@ -18,10 +18,12 @@ quantity the paper counts in Figs. 5-6.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Union
 
 from .message import Envelope, MessageType
+from .wire import WireBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
@@ -79,6 +81,12 @@ class Transport:
     enqueues an envelope.
     """
 
+    #: Held around bulk sends that reach a layer without passing through
+    #: :meth:`_send_through` (``CoalescingLayer.send_rows``).  Nothing to
+    #: guard where one thread runs all handlers; the thread transport
+    #: installs its layer lock.
+    bulk_guard = nullcontext()
+
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.n_ranks = machine.n_ranks
@@ -123,7 +131,10 @@ class Transport:
         remote = src != dest and src >= 0
         if batch:
             # One physical transfer carrying many logical payloads.
-            slots = sum(len(p) for p in payload)
+            if isinstance(payload, WireBatch):
+                slots = payload.nrows * payload.ncols
+            else:
+                slots = sum(len(p) for p in payload)
         else:
             slots = len(payload)
         self.machine.stats.count_send(mtype.name, remote, slots)
@@ -144,8 +155,9 @@ class Transport:
         )
         self._enqueue(env, batch=batch)
 
-    def wire_batch(self, mtype: MessageType, src: int, dest: int, payloads: tuple) -> None:
-        """Used by the coalescing layer: ship many payloads as one envelope."""
+    def wire_batch(self, mtype: MessageType, src: int, dest: int, payloads) -> None:
+        """Used by the coalescing layer: ship many payloads — a tuple of
+        row tuples or a column batch — as one envelope."""
         self._wire(mtype, src, dest, payloads, batch=True)
 
     # -- to implement ------------------------------------------------------------
@@ -184,7 +196,8 @@ class Transport:
     def run_handler(self, env: Envelope, batch: bool) -> None:
         """Dispatch one envelope at its destination rank.
 
-        Coalesced envelopes (``batch=True``) carry a tuple of payload tuples.
+        Coalesced envelopes (``batch=True``) carry a tuple of payload tuples
+        or a :class:`~repro.runtime.wire.WireBatch` of payload columns.
         When the message type has a :attr:`MessageType.batch_handler`
         installed (the pattern executor does this for vectorizable plans),
         the whole batch is handed over in one call so it can be executed as

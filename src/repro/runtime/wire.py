@@ -20,7 +20,10 @@ Body by kind:
   column is 1 tag byte followed by either an 8-byte constant
   (``COL_CONST_I``/``COL_CONST_F`` — constant-elision: a column whose value
   is identical in every row costs 9 bytes total regardless of n_rows) or a
-  packed vector (``COL_I32``/``COL_I64``/``COL_F64``).  Decoding yields a
+  packed vector (``COL_I32``/``COL_I64``/``COL_F64``).  A column batch
+  (:class:`WireBatch`, what the coalescing layer flushes for bulk column
+  sends) is encoded straight from its columns; a tuple of row tuples is
+  transposed first, into the same bytes.  Decoding yields a
   :class:`WireBatch` whose columns are zero-copy ``np.frombuffer`` views
   over the frame — the vector fast path consumes them directly without ever
   materialising per-row tuples.
@@ -80,20 +83,87 @@ def _is_float(v: Any) -> bool:
     return isinstance(v, (float, np.floating))
 
 
-class WireBatch:
-    """Columnar view over one decoded coalesced envelope.
+def _column_array(col, n: int) -> Optional[np.ndarray]:
+    """One batch column as an int64 or float64 vector of ``n`` values.
 
-    Behaves like the tuple-of-tuples payload the runtime already ships
-    (``len``, iteration, indexing all yield per-row tuples) but keeps the
-    underlying columns as numpy views over the wire frame so the vector
-    fast path can consume them without materialising rows.
+    ``col`` is an ndarray (column of a :class:`WireBatch`) or a tuple of
+    row values; ``None`` when it holds anything but all ints or all floats
+    (the envelope then takes the pickle fallback).
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind in "iu":
+            return col.astype(np.int64, copy=False)
+        if col.dtype.kind == "f":
+            return col.astype(np.float64, copy=False)
+        return None
+    if _is_int(col[0]):
+        is_kind, dtype = _is_int, np.int64
+    elif _is_float(col[0]):
+        is_kind, dtype = _is_float, np.float64
+    else:
+        return None
+    if not all(is_kind(v) for v in col):
+        return None
+    try:
+        return np.fromiter(col, dtype=dtype, count=n)
+    except (OverflowError, ValueError):
+        return None
+
+
+def _encode_column(col, n: int) -> Optional[Tuple[int, bytes]]:
+    """Tag code and body of one batch column of ``n`` rows, or ``None``.
+
+    ``col`` is an ndarray, a tuple of row values, or the one value every
+    row of a :class:`WireBatch` column shares.  The bytes depend on the
+    values alone, not on which of the three held them.
+    """
+    if not isinstance(col, (np.ndarray, tuple)):
+        if n == 1 or col != col:
+            col = (col,) * n  # a single row, or NaN: ships as a vector
+        else:
+            # Shared by all n > 1 rows: elided without building a vector.
+            try:
+                if _is_int(col):
+                    return COL_CONST_I, _I64.pack(int(col))
+                if _is_float(col):
+                    return COL_CONST_F, _F64.pack(float(col))
+            except struct.error:
+                pass
+            return None
+    arr = _column_array(col, n)
+    if arr is None:
+        return None
+    v0 = arr[0]
+    # Constant elision; NaN != NaN keeps an all-NaN column a vector.
+    const = n > 1 and bool((arr == v0).all())
+    if arr.dtype.kind == "i":
+        if const:
+            return COL_CONST_I, _I64.pack(int(v0))
+        if _I32_MIN <= int(arr.min()) and int(arr.max()) <= _I32_MAX:
+            return COL_I32, arr.astype(np.int32).tobytes()
+        return COL_I64, arr.tobytes()
+    if const:
+        return COL_CONST_F, _F64.pack(float(v0))
+    return COL_F64, arr.tobytes()
+
+
+class WireBatch:
+    """The runtime's one batch type: a coalesced envelope held as columns.
+
+    One entry per payload slot, each either a 1-D ndarray (one value per
+    row) or a scalar (the value every row shares — slot ids, step indices).
+    The coalescing layer flushes one when a buffer was filled by bulk
+    column sends, the codec encodes and decodes one per ``KIND_BATCH``
+    frame (decoded columns are zero-copy views over the frame), and the
+    vector/native batch handlers consume the columns directly.  It still
+    behaves like the tuple-of-tuples payload every other consumer expects:
+    ``len``, iteration and integer indexing yield per-row tuples, which
+    are only materialised when somebody asks for them.
     """
 
     __slots__ = ("_cols", "nrows", "ncols", "_rows")
 
     def __init__(self, cols: List[Any], nrows: int):
-        # Each entry of ``cols`` is either a scalar (constant column) or a
-        # 1-D ndarray of length ``nrows``.
         self._cols = cols
         self.nrows = nrows
         self.ncols = len(cols)
@@ -114,17 +184,54 @@ class WireBatch:
         c = self._cols[i]
         if isinstance(c, np.ndarray):
             return c
-        if _is_float(c):
-            return np.full(self.nrows, c, dtype=np.float64)
-        return np.full(self.nrows, c, dtype=np.int64)
+        return np.full(self.nrows, c)
 
     def columns(self, *indices: int) -> tuple:
         """Several columns at once as ndarrays (constants broadcast).
 
-        The frame views feed the vector/native batch kernels directly —
+        The columns feed the vector/native batch kernels directly —
         per-row tuples are never materialized on this path.
         """
         return tuple(self.column(i) for i in indices)
+
+    def take(self, index) -> "WireBatch":
+        """The rows selected by ``index`` (a slice or an index array)."""
+        cols = [c[index] if isinstance(c, np.ndarray) else c for c in self._cols]
+        if isinstance(index, slice):
+            nrows = len(range(*index.indices(self.nrows)))
+        else:
+            nrows = len(index)
+        return WireBatch(cols, nrows)
+
+    @classmethod
+    def concat(cls, chunks: List["WireBatch"]) -> "WireBatch":
+        """One batch holding the rows of ``chunks`` in order."""
+        first = chunks[0]
+        if len(chunks) == 1:
+            return first
+        if any(ch.ncols != first.ncols for ch in chunks):
+            raise ValueError("cannot concatenate column batches of different widths")
+        cols = []
+        for j, c0 in enumerate(first._cols):
+            if not isinstance(c0, np.ndarray) and all(
+                type(ch._cols[j]) is type(c0) and ch._cols[j] == c0 for ch in chunks
+            ):
+                cols.append(c0)
+            else:
+                cols.append(np.concatenate([ch.column(j) for ch in chunks]))
+        return cls(cols, sum(ch.nrows for ch in chunks))
+
+    def freeze(self) -> "WireBatch":
+        """Mark every column read-only; returns ``self``.
+
+        The columnar form of "freeze payloads to tuples at flush": a
+        chaos-duplicated envelope shares its columns between deliveries,
+        so no handler may write through them.
+        """
+        for c in self._cols:
+            if isinstance(c, np.ndarray):
+                c.flags.writeable = False
+        return self
 
     def _materialize(self) -> Tuple[tuple, ...]:
         if self._rows is None:
@@ -141,6 +248,9 @@ class WireBatch:
         return iter(self._materialize())
 
     def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            # A chaos split halves an envelope: both halves stay columnar.
+            return self.take(idx)
         return self._materialize()[idx]
 
     def __eq__(self, other) -> bool:  # pragma: no cover - convenience
@@ -351,52 +461,36 @@ class WireCodec:
 
     @staticmethod
     def _encode_batch(payloads) -> Optional[Tuple[Tuple[int, ...], bytes]]:
+        """Column codes and body of one coalesced envelope, or ``None``.
+
+        A :class:`WireBatch` is encoded from its columns; a tuple of row
+        tuples is transposed first.  Both produce the same bytes for the
+        same rows.
+        """
         n = len(payloads)
         if n == 0:
             return None
-        first = payloads[0]
-        if not isinstance(first, tuple):
+        if isinstance(payloads, WireBatch):
+            cols = payloads._cols
+        else:
+            first = payloads[0]
+            if not isinstance(first, tuple):
+                return None
+            for p in payloads:
+                if not isinstance(p, tuple) or len(p) != len(first):
+                    return None  # ragged -> pickle fallback
+            cols = list(zip(*payloads))
+        if not 0 < len(cols) <= 255:
             return None
-        ncols = len(first)
-        if ncols == 0 or ncols > 255:
-            return None
-        for p in payloads:
-            if not isinstance(p, tuple) or len(p) != ncols:
-                return None  # ragged -> pickle fallback
 
         codes: List[int] = []
         parts: List[bytes] = [_NROWS.pack(n)]
-        cols = zip(*payloads)
         for col in cols:
-            v0 = col[0]
-            if _is_int(v0):
-                if not all(_is_int(v) for v in col):
-                    return None
-                try:
-                    arr = np.fromiter(col, dtype=np.int64, count=n)
-                except (OverflowError, ValueError):
-                    return None
-                if n > 1 and bool((arr == arr[0]).all()):
-                    codes.append(COL_CONST_I)
-                    parts.append(bytes([COL_CONST_I]) + _I64.pack(int(arr[0])))
-                elif _I32_MIN <= int(arr.min()) and int(arr.max()) <= _I32_MAX:
-                    codes.append(COL_I32)
-                    parts.append(bytes([COL_I32]) + arr.astype(np.int32).tobytes())
-                else:
-                    codes.append(COL_I64)
-                    parts.append(bytes([COL_I64]) + arr.tobytes())
-            elif _is_float(v0):
-                if not all(_is_float(v) for v in col):
-                    return None
-                arr = np.fromiter(col, dtype=np.float64, count=n)
-                if n > 1 and bool((arr == arr[0]).all()) and not np.isnan(arr[0]):
-                    codes.append(COL_CONST_F)
-                    parts.append(bytes([COL_CONST_F]) + _F64.pack(float(arr[0])))
-                else:
-                    codes.append(COL_F64)
-                    parts.append(bytes([COL_F64]) + arr.tobytes())
-            else:
+            encoded = _encode_column(col, n)
+            if encoded is None:
                 return None
+            codes.append(encoded[0])
+            parts.append(bytes([encoded[0]]) + encoded[1])
         return tuple(codes), b"".join(parts)
 
     # -- control frames -------------------------------------------------

@@ -52,6 +52,21 @@ class TestPartitionInvariants:
             part.local_index_array(vs), [part.local_index(v) for v in range(n)]
         )
 
+    def test_vectorized_bounds_match_scalar(self, kind, n, p):
+        """``owner_array``/``local_index_array`` reject what ``owner()``
+        rejects: the columnar message path resolves whole columns at once
+        and must not turn a bad vertex id into a wrapped-around index."""
+        part = make_partition(kind, n, p)
+        for bad in (n, -1):
+            with pytest.raises(IndexError, match="out of range"):
+                part.owner(bad)
+            for method in (part.owner_array, part.local_index_array):
+                with pytest.raises(IndexError, match="out of range"):
+                    method(np.array([0, bad]))
+        empty = np.empty(0, dtype=np.int64)
+        assert len(part.owner_array(empty)) == 0
+        assert len(part.local_index_array(empty)) == 0
+
 
 class TestPartitionSpecifics:
     def test_block_is_contiguous(self):

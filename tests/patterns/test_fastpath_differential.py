@@ -33,6 +33,7 @@ from repro.graph import build_graph, erdos_renyi, rmat, uniform_weights
 from repro.patterns import bind
 from repro.runtime import ChaosConfig
 from repro.runtime.machine import FAST_PATHS, Machine
+from repro.runtime.wire import WireBatch
 
 MODES = list(FAST_PATHS)
 
@@ -420,7 +421,7 @@ def test_sssp_differential_chaos(fast_path, chaos_seed):
     # the split fault must actually have exercised envelope splitting
     assert m.stats.chaos.split_envelopes > 0, "no coalesced envelope was split"
     assert m.stats.chaos.duplicates_suppressed > 0
-    if fast_path == "vector":
+    if fast_path in ("vector", "native"):
         assert vector_items(m) > 0, "vector batch kernel never fired under chaos"
 
 
@@ -447,6 +448,167 @@ def test_delta_stepping_vector_chaos(chaos_seed):
     assert np.array_equal(ref, dist)
     assert vector_items(m) > 0
     assert m.stats.chaos.split_envelopes > 0
+
+
+def count_column_deliveries(action):
+    """Wrap ``action``'s batch handler; returns the list its column-batch
+    row counts are appended to."""
+    seen: list[int] = []
+    inner = action.mtype.batch_handler
+
+    def counting(ctx, payloads):
+        if isinstance(payloads, WireBatch):
+            seen.append(len(payloads))
+        inner(ctx, payloads)
+
+    action.mtype.batch_handler = counting
+    return seen
+
+
+@pytest.mark.parametrize(
+    "fault", [{"drop": 0.15}, {"duplicate": 0.25}, {"split": 0.5}], ids=lambda f: next(iter(f))
+)
+@pytest.mark.parametrize("chaos_seed", [0, 1])
+def test_column_batches_survive_chaos(fault, chaos_seed):
+    """Each fault kind alone, on envelopes that are column batches: a
+    dropped one is retransmitted, a duplicated one shares its (read-only)
+    columns between deliveries, a split one yields two column halves."""
+    g, wbg, s, t = er_instance()
+    layers = {"relax": {"coalescing": 32}}
+    dist0, deps0 = run_sssp(make_machine("off"), g, wbg, 0, layers=layers)
+    m = Machine(
+        n_ranks=4,
+        fast_path="vector",
+        chaos=ChaosConfig(seed=chaos_seed, **fault),
+        reliable=True,
+    )
+    bp = bind_sssp(m, g, wbg, layers=layers)
+    seen = count_column_deliveries(bp["relax"])
+    dist = bp.map("dist")
+    dist.fill(math.inf)
+    dist[0] = 0.0
+    deps = _chase(m, bp["relax"], [0])
+    assert np.array_equal(dist0, dist.to_array())
+    assert deps0 == deps
+    assert m.stats.chaos.faults_injected > 0
+    assert vector_items(m) > 0
+    assert seen, "no envelope was delivered as a column batch"
+    if "split" in fault:
+        assert m.stats.chaos.split_envelopes > 0
+        assert min(seen) < 16, "no split half arrived as a column batch"
+
+
+# ---------------------------------------------------------------------------
+# the columnar message path vs its row-at-a-time fallback
+# ---------------------------------------------------------------------------
+#
+# With telemetry spans on (every row must get its span) or a layer stack
+# that is not one coalescing layer, the vector fan-out iterates its columns
+# and sends row by row; otherwise it hands column batches to the
+# coalescing layer.  Same rows, same flush boundaries: maps and every
+# logical counter must agree.
+
+
+def columnar_instance():
+    """R-MAT scale 7 with a self-loop on the source and a reachable
+    zero-out-degree vertex (a generator start that fans out nothing)."""
+    s, t = rmat(7, edge_factor=6, seed=5)
+    n = 1 << 7
+    source = int(np.argmax(np.bincount(s, minlength=n)))
+    s = np.append(s, source)
+    t = np.append(t, source)
+    w = uniform_weights(len(s), 1.0, 10.0, seed=6)
+    g, wbg = build_graph(n, list(zip(s, t)), weights=w, n_ranks=4, partition="cyclic")
+    return g, wbg, s, t, w, source
+
+
+def logical_stats(machine):
+    """``machine.stats`` as plain data without the wall-clock fields."""
+
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items() if "seconds" not in k}
+        if isinstance(x, list):
+            return [strip(v) for v in x]
+        return x
+
+    return strip(machine.stats.checkpoint_state())
+
+
+def test_columnar_path_matches_row_fallback_sim():
+    g, wbg, s, t, w, source = columnar_instance()
+    ref = dijkstra_reference(g.n_vertices, s, t, w, source)
+    out_degree = np.bincount(s, minlength=g.n_vertices)
+    assert (s == t).any() and ((out_degree == 0) & np.isfinite(ref)).any()
+    layers = {"relax": {"coalescing": 16}}
+    results = {}
+    for telemetry in ("off", "spans"):
+        m = Machine(
+            n_ranks=4, fast_path="vector", schedule="round_robin", telemetry=telemetry
+        )
+        bp = bind_sssp(m, g, wbg, layers=layers)
+        seen = count_column_deliveries(bp["relax"])
+        dist = sssp_delta_stepping(m, g, wbg, source, 3.0, bound=bp)
+        results[telemetry] = (dist, logical_stats(m), len(seen))
+    dist_cols, stats_cols, n_cols = results["off"]
+    dist_rows, stats_rows, n_rows = results["spans"]
+    assert n_cols > 0 and n_rows == 0, "spans must take the row fallback"
+    assert np.array_equal(dist_cols, ref) and np.array_equal(dist_rows, ref)
+    assert stats_cols == stats_rows
+    assert stats_cols["total"]["handler_calls"] > 0
+
+
+def test_columnar_path_matches_row_fallback_process():
+    g, wbg, s, t, w, source = columnar_instance()
+    ref = dijkstra_reference(g.n_vertices, s, t, w, source)
+    layers = {"relax": {"coalescing": 16}}
+    for telemetry in ("off", "spans"):
+        m = Machine(n_ranks=4, transport="process", fast_path="vector", telemetry=telemetry)
+        try:
+            dist = sssp_delta_stepping(m, g, wbg, source, 3.0, layers=layers)
+            items = vector_items(m)
+        finally:
+            m.shutdown()
+        assert np.array_equal(dist, ref), telemetry
+        assert items > 0
+
+
+@pytest.mark.parametrize("fast_path", ["off", "vector", "native"])
+def test_out_of_range_target_raises_on_every_path(fast_path):
+    """Bounds parity: a corrupt arc target raises ``IndexError`` from the
+    columnar fan-out's one ``owner_array`` call exactly as it does from
+    ``Partition.owner`` on the scalar send path."""
+    g, wbg, s, t = er_instance(n=40, avg_deg=3, seed=9)
+    kw = {"native_backend": "interp"} if fast_path == "native" else {}
+    m = Machine(n_ranks=4, fast_path=fast_path, **kw)
+    bp = bind_sssp(m, g, wbg, layers={"relax": {"coalescing": 8}})
+    csr = g.locals[g.owner(0)]
+    saved = csr.targets.copy()
+    csr.targets[: csr.indptr[1]] = g.n_vertices + 3  # vertex 0's arcs
+    assert csr.indptr[1] > 0
+    dist = bp.map("dist")
+    dist.fill(math.inf)
+    dist[0] = 0.0
+    try:
+        with pytest.raises(IndexError, match="out of range"):
+            with m.epoch() as ep:
+                bp["relax"].invoke(ep, 0)
+    finally:
+        csr.targets[:] = saved
+
+
+def test_out_of_range_owner_rank_raises_on_columnar_path():
+    g, wbg, s, t = er_instance(n=40, avg_deg=3, seed=9)
+    m = Machine(n_ranks=4, fast_path="vector")
+    bp = bind_sssp(m, g, wbg, layers={"relax": {"coalescing": 8}})
+    g.partition.owner_array = lambda vs: np.full(len(vs), 4)
+    bp.map("dist")[0] = 0.0
+    try:
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            with m.epoch() as ep:
+                bp["relax"].invoke(ep, 0)
+    finally:
+        del g.partition.owner_array
 
 
 # ---------------------------------------------------------------------------

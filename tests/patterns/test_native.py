@@ -34,6 +34,7 @@ from repro.runtime.machine import (
     _numba_available,
     _reset_native_warning,
 )
+from repro.runtime.wire import WireBatch
 
 from .conftest import make_jump_pattern, make_sssp_pattern
 
@@ -135,7 +136,7 @@ class TestCodegen:
         ns: dict = {}
         exec(compile(src, "<kernel>", "exec"), ns)
         kernels = ns["make"](None)
-        assert set(kernels) == {"fanout", "scatter", "pack", "collect"}
+        assert set(kernels) == {"fanout", "scatter", "collect"}
 
     def test_scatter_kernel_is_extremum_update(self):
         plan = sssp_spec()
@@ -148,11 +149,11 @@ class TestCodegen:
         # both observe vertex 0 improve; the dependent set is their union)
         assert changed.tolist() == [True, True, False]
 
-    def test_pack_rows_match_scalar_payload_layout(self):
+    def test_payload_columns_match_scalar_payload_layout(self):
         plan = sssp_spec()
         dests = np.array([7, 9])
         cols = [np.array([1.5, 2.5])]
-        rows = plan.kernels["pack"](dests, *cols)
+        rows = list(WireBatch(plan.vector.payload_columns(dests, cols), 2))
         esi = plan.spec["esi"]
         slot = plan.spec["slots"][0]
         assert rows == [(7, 0, esi, slot, 1.5), (9, 0, esi, slot, 2.5)]

@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.graph import from_edges
@@ -46,6 +47,24 @@ class TestGranularity:
         with lm.lock_many([7, 1, 3]):
             assert lm.lock_for(1).locked()
             assert lm.lock_for(7).locked()
+
+    def test_lock_many_takes_an_ndarray(self):
+        """The batch kernels pass the destination column as is: every
+        touched block is held exactly once, released on exit."""
+        lm = LockMap(10, block_size=2)
+        with lm.lock_many(np.array([7, 1, 3, 7, 6, 1])) as held:
+            assert [lm._locks.index(lk) for lk in held._locks] == [0, 1, 3]
+            assert all(lk.locked() for lk in held._locks)
+            assert not lm.lock_for(4).locked()
+        assert not any(lk.locked() for lk in lm._locks)
+        with lm.lock_many(np.array([], dtype=np.int64)) as held:
+            assert held._locks == []
+
+    @pytest.mark.parametrize("bad", [[2, 5], [-1, 2], np.array([0, 9])])
+    def test_lock_many_out_of_range(self, bad):
+        lm = LockMap(5)
+        with pytest.raises(IndexError, match="out of range"):
+            lm.lock_many(bad)
 
 
 class TestAtomics:

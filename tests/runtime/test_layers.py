@@ -1,5 +1,6 @@
 """Coalescing, caching, and reduction layers (AM++ Sec. IV features)."""
 
+import numpy as np
 import pytest
 
 from repro import Machine
@@ -12,6 +13,7 @@ from repro.runtime import (
     min_payload,
     sum_payload,
 )
+from repro.runtime.wire import WireBatch
 
 
 def make_machine(**layer_kw):
@@ -119,6 +121,38 @@ class TestCoalescing:
         # handlers saw immutable tuples every time
         assert mutation_blocked[0] == len(delivered)
 
+    def test_chaos_duplicate_cannot_alias_column_batches(self):
+        """The columnar form of the freeze: a flushed column batch is
+        read-only, so a chaos-duplicated envelope — which shares its
+        columns between both deliveries — cannot be corrupted by the
+        handler of the first one."""
+        m = Machine(
+            n_ranks=2,
+            chaos=ChaosConfig(seed=7, duplicate=0.9),
+            reliable=False,
+        )
+        delivered = []
+        mutation_blocked = [0]
+
+        def batch_handler(ctx, payloads):
+            assert isinstance(payloads, WireBatch)
+            delivered.extend(payloads)
+            try:
+                payloads.column(1)[:] += 100
+            except ValueError:
+                mutation_blocked[0] += 1
+
+        t = m.register("f", lambda ctx, p: None, dest_rank_of=lambda p: 1, coalescing=4)
+        t.batch_handler = batch_handler
+        cols = [np.arange(16), np.arange(16) * 10]
+        with m.epoch():
+            t.layers[0].send_rows(0, 1, WireBatch(cols, 16))
+        assert m.stats.chaos.duplicated > 0, "chaos never duplicated a frame"
+        assert len(delivered) > 16, "duplicates were not delivered"
+        assert set(delivered) == {(i, i * 10) for i in range(16)}
+        assert mutation_blocked[0] == len(delivered) // 4
+        assert cols[1].flags.writeable, "the sender's own array must stay writable"
+
     def test_handler_sends_through_coalescing_terminate(self):
         """Buffered sends from handlers must still drain at epoch end."""
         m = Machine(n_ranks=2)
@@ -133,6 +167,110 @@ class TestCoalescing:
         with m.epoch() as ep:
             ep.invoke("c", (0,))
         assert sorted(got) == list(range(21))
+
+
+class TestSendRows:
+    """``send_rows(columns)`` is ``n`` sequential ``send`` calls, column-wise:
+    the same envelopes per (src, dest) — boundaries, rows, order — and the
+    same counters."""
+
+    N_RANKS = 3
+
+    @staticmethod
+    def rows_for(dest, n, base=0):
+        return [(dest, 0, 2, 5, float(base + i) / 4) for i in range(n)]
+
+    @staticmethod
+    def as_columns(rows):
+        return WireBatch(
+            [
+                np.array([r[0] for r in rows]),
+                0,
+                2,
+                5,
+                np.array([r[4] for r in rows]),
+            ],
+            len(rows),
+        )
+
+    @staticmethod
+    def envelopes(log):
+        """A wire log without the payload container's type."""
+        return [(s, d, b, rows) for s, d, b, _kind, rows in log]
+
+    def run(self, size, script, bulk):
+        """Play ``script`` — ``(src, dest, rows)`` steps, scalar-only steps
+        marked by a 4th element — on a fresh machine; returns the wire log
+        and the type's counters."""
+        m = Machine(n_ranks=self.N_RANKS)
+        t = m.register(
+            "upd", lambda ctx, p: None, dest_rank_of=lambda p: p[0], coalescing=size
+        )
+        layer = t.layers[0]
+        log = []
+        m.telemetry.add_wire_observer(
+            lambda mtype, src, dest, payload, batch: log.append(
+                (src, dest, batch, type(payload).__name__, [tuple(p) for p in payload])
+            )
+        )
+        with m.epoch():
+            for src, dest, rows, *scalar_only in script:
+                if bulk and not scalar_only:
+                    layer.send_rows(src, dest, self.as_columns(rows))
+                else:
+                    for row in rows:
+                        m.transport.send(src, t, row)
+        ts = m.stats.by_type["upd"]
+        counters = (
+            ts.sent_local, ts.sent_remote, ts.coalesced_flushes,
+            ts.coalesced_items, ts.payload_slots, ts.handler_calls,
+        )
+        return log, counters
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("n", [1, 5, 64, 100, 131])
+    def test_same_envelopes_and_counters_as_sequential_sends(self, size, n):
+        script = [
+            (0, 1, self.rows_for(1, n)),
+            (0, 2, self.rows_for(2, 3, base=1000)),
+            (0, 1, self.rows_for(1, 9, base=2000)),  # lands on a partial buffer
+            (1, 1, self.rows_for(1, n, base=3000)),  # rank-local
+            (-1, 2, self.rows_for(2, n, base=4000)),  # driver-injected: keyed at dest
+        ]
+        scalar_log, scalar_counters = self.run(size, script, bulk=False)
+        bulk_log, bulk_counters = self.run(size, script, bulk=True)
+        assert self.envelopes(bulk_log) == self.envelopes(scalar_log)
+        assert bulk_counters == scalar_counters
+        # chunk-only buffers ship as column batches
+        assert {kind for *_, kind, _rows in bulk_log} == {"WireBatch"}
+
+    @pytest.mark.parametrize("size", [7, 64])
+    def test_buffer_holding_scalar_tuples_materialises_rows_in_order(self, size):
+        seeded = self.rows_for(1, 3, base=500)
+        script = [
+            (0, 1, seeded, "scalar"),  # pre-seed the (0, 1) buffer with tuples
+            (0, 1, self.rows_for(1, size + 4)),
+            (0, 1, self.rows_for(1, 2, base=700), "scalar"),  # scalar onto chunks
+            (0, 1, self.rows_for(1, 2 * size, base=900)),
+        ]
+        scalar_log, scalar_counters = self.run(size, script, bulk=False)
+        bulk_log, bulk_counters = self.run(size, script, bulk=True)
+        assert self.envelopes(bulk_log) == self.envelopes(scalar_log)
+        assert bulk_counters == scalar_counters
+        kinds = [kind for *_, kind, _rows in bulk_log]
+        assert kinds[0] == "tuple", "an envelope mixing tuples and chunks ships as rows"
+        assert "WireBatch" in kinds, "later chunk-only envelopes are columnar again"
+
+    def test_scalar_only_buffers_stay_plain_lists(self):
+        m = Machine(n_ranks=2)
+        t = m.register("upd", lambda ctx, p: None, dest_rank_of=lambda p: p[0], coalescing=8)
+        layer = t.layers[0]
+        with m.epoch():
+            layer.send_rows(0, 1, self.as_columns(self.rows_for(1, 3)))
+            assert len(layer._buffers[0][1]) == 3 and layer.pending() == 3
+            layer.flush(0, None)
+            m.transport.send(0, t, (1, 0, 2, 5, 0.5))
+            assert type(layer._buffers[0][1]) is list
 
 
 class TestCaching:

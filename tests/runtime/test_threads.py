@@ -1,11 +1,14 @@
 """ThreadTransport: real-thread execution, SPMD programs, quiescence."""
 
+import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import Machine
+from repro.runtime.wire import WireBatch
 
 
 @pytest.fixture
@@ -82,6 +85,53 @@ class TestThreadTransport:
             assert sorted(hits) == list(range(200))
         finally:
             m.shutdown()
+
+    def test_bulk_column_sends_race_scalar_sends_without_losing_rows(self):
+        """Stress: more senders than cores push column chunks into one
+        ``(src, dest)`` buffer while others push scalar payloads into it.
+        Bulk sends bypass ``_send_through`` and its layer lock, so they
+        run under ``Transport.bulk_guard`` — on this transport the same
+        lock; with a weaker guard a buffer swap drops rows and the
+        delivered count falls short."""
+        m = Machine(n_ranks=2, transport="threads", threads_per_rank=2)
+        delivered = [0]
+        lock = threading.Lock()
+
+        def count(ctx, payloads):
+            with lock:
+                delivered[0] += len(payloads)
+
+        t = m.register("b", lambda ctx, p: count(ctx, (p,)), dest_rank_of=lambda p: 1,
+                       coalescing=7)
+        t.batch_handler = count
+        layer, transport = t.layers[0], m.transport
+        rounds, chunk = 300, 5
+
+        def bulk_sender():
+            for i in range(rounds):
+                cols = WireBatch([np.full(chunk, 1), np.arange(chunk) + i], chunk)
+                with transport.bulk_guard:
+                    layer.send_rows(0, 1, cols)
+
+        def scalar_sender():
+            for i in range(rounds):
+                transport.send(0, t, (1, i))
+
+        senders = [threading.Thread(target=f, daemon=True)
+                   for f in (bulk_sender, scalar_sender) * 3]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with m.epoch():
+                for s in senders:
+                    s.start()
+                for s in senders:
+                    s.join(timeout=60)
+                assert not any(s.is_alive() for s in senders)
+        finally:
+            sys.setswitchinterval(interval)
+            m.shutdown()
+        assert delivered[0] == 3 * rounds * (chunk + 1)
 
     def test_invalid_threads_per_rank(self):
         with pytest.raises(ValueError, match="threads_per_rank"):

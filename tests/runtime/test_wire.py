@@ -157,6 +157,87 @@ class TestBatchFrames:
         assert c.stats.pickle_frames == 1
 
 
+class TestColumnBatches:
+    """A column batch (what the coalescing layer flushes for bulk sends)
+    encodes straight from its columns into the bytes the same rows, as
+    tuples, would produce."""
+
+    CASES = {
+        "const_int": ([np.arange(5), 0, 3], 5),
+        "const_float": ([np.arange(5), 2.5], 5),
+        "i32": ([np.array([7, -3, 1 << 20])], 3),
+        "i64": ([np.array([7, 1 << 40, -(1 << 35)])], 3),
+        "f64": ([np.array([0.5, -1.25, math.inf]), np.arange(3)], 3),
+        "nan_const": ([np.arange(4), math.nan], 4),
+        "nan_vector": ([np.arange(4), np.full(4, math.nan)], 4),
+        "all_equal_array": ([np.full(6, 9), np.full(6, 1.5)], 6),
+        "narrow_dtypes": ([np.arange(4, dtype=np.int32), np.arange(4, dtype=np.float32)], 4),
+        "one_row": ([np.array([11]), 0, 4, np.array([2.5]), 1.0], 1),
+        "sssp_shape": ([np.arange(64) * 3, 0, 2, 5, np.linspace(0.0, 9.0, 64)], 64),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_encode_batch_is_byte_equal_to_tuple_rows(self, case):
+        cols, n = self.CASES[case]
+        wb = WireBatch(cols, n)
+        rows = tuple(wb)
+        assert len(rows) == n
+        assert WireCodec._encode_batch(wb) == WireCodec._encode_batch(rows)
+        env_cols = Envelope(dest=1, type_id=4, payload=wb, src=0)
+        env_rows = Envelope(dest=1, type_id=4, payload=rows, src=0)
+        a, b = WireCodec(), WireCodec()
+        assert a.encode(env_cols, True) == b.encode(env_rows, True)
+        assert a.stats.snapshot() == b.stats.snapshot()
+
+    def test_column_batch_roundtrip(self):
+        c = WireCodec()
+        wb = WireBatch([np.array([4, 8, 12]), 0, np.array([1.5, 2.5, 3.5])], 3)
+        (_, out, batch), _ = roundtrip(c, Envelope(dest=1, type_id=4, payload=wb, src=0), True)
+        assert batch is True and c.stats.binary_frames == 1
+        assert tuple(out.payload) == tuple(wb)
+        assert out.payload.col_const(1) == 0
+
+    def test_non_numeric_column_falls_back_to_pickle(self):
+        c = WireCodec()
+        wb = WireBatch([np.arange(3), np.array([True, False, True])], 3)
+        assert WireCodec._encode_batch(wb) is None
+        (_, out, _), _ = roundtrip(c, Envelope(dest=1, type_id=4, payload=wb, src=0), True)
+        assert c.stats.pickle_frames == 1
+        assert tuple(out.payload) == tuple(wb)
+
+    def test_slice_keeps_columns_and_int_index_yields_a_row(self):
+        wb = WireBatch([np.arange(6), 7, np.arange(6) * 0.5], 6)
+        lo, hi = wb[:2], wb[2:]
+        assert isinstance(lo, WireBatch) and isinstance(hi, WireBatch)
+        assert (len(lo), len(hi)) == (2, 4)
+        assert tuple(lo) + tuple(hi) == tuple(wb)
+        assert hi.col_const(1) == 7 and hi.column(0).base is not None  # a view
+        assert wb[4] == (4, 7, 2.0)
+
+    def test_concat_keeps_shared_constants_and_order(self):
+        a = WireBatch([np.array([1, 2]), 0, 2.5], 2)
+        b = WireBatch([np.array([3]), 0, 3.5], 1)
+        both = WireBatch.concat([a, b])
+        assert tuple(both) == ((1, 0, 2.5), (2, 0, 2.5), (3, 0, 3.5))
+        assert both.col_const(1) == 0 and both.col_const(2) is None
+        with pytest.raises(ValueError, match="widths"):
+            WireBatch.concat([a, WireBatch([np.array([1])], 1)])
+
+    def test_freeze_marks_columns_read_only(self):
+        wb = WireBatch([np.arange(3), 1], 3).freeze()
+        with pytest.raises(ValueError):
+            wb.column(0)[0] = 9
+
+    def test_slots_counted_as_rows_times_columns(self):
+        from repro import Machine
+
+        m = Machine(n_ranks=2)
+        t = m.register("t", lambda ctx, p: None, dest_rank_of=lambda p: 1, coalescing=8)
+        with m.epoch():
+            t.layers[0].send_rows(0, 1, WireBatch([np.arange(8), 0, np.arange(8.0)], 8))
+        assert m.stats.by_type["t"].payload_slots == 24
+
+
 class TestReliableAndAckFrames:
     def test_reliable_wrapper_roundtrip(self):
         c = WireCodec()
