@@ -100,8 +100,7 @@ def _single_source_dependencies(
         levels.append(frontier)
         next_frontier = set()
         with machine.epoch() as ep:
-            for v in frontier:
-                expand.invoke(ep, v)
+            expand.invoke_many(ep, frontier)
         # work fires for dist *and* sigma changes; keep only fresh vertices
         depth = len(levels)
         frontier = sorted(
@@ -113,8 +112,7 @@ def _single_source_dependencies(
     push.work = None
     for level in reversed(levels[1:]):  # the source accumulates nothing back
         with machine.epoch() as ep:
-            for v in level:
-                push.invoke(ep, v)
+            push.invoke_many(ep, level)
     out = delta.to_array()
     out[source] = 0.0
     return out

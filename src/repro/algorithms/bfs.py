@@ -73,8 +73,7 @@ def bfs_level_synchronous(
     levels = 0
     while frontier:
         with machine.epoch() as ep:
-            for v in frontier:
-                hop.invoke(ep, v)
+            hop.invoke_many(ep, frontier)
         frontier, next_frontier = next_frontier, []
         levels += 1
     arr = depth.to_array()

@@ -107,6 +107,9 @@ def connected_components(
 
     # -- parallel search phase (paper lines 6-13) --------------------------
     searches = 0
+    # Scalar on purpose: each start is followed by an epoch_flush, and
+    # whether the next vertex starts a search depends on what that flush
+    # claimed (Sec. II-B) — there is no batch of starts to hand over.
     with machine.epoch() as ep:
         for v in graph.vertices():
             if prnt[v] == NULL:

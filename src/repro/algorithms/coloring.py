@@ -78,8 +78,7 @@ def greedy_coloring(
             raise RuntimeError("coloring failed to converge")
         blocked.fill(0)
         with machine.epoch() as ep:
-            for v in uncolored:
-                bp["block"].invoke(ep, v)
+            bp["block"].invoke_many(ep, uncolored)
         winners = [v for v in uncolored if blocked[v] == 0]
         # local step: pick the smallest free color
         for v in winners:
@@ -89,8 +88,7 @@ def greedy_coloring(
                 c += 1
             color[v] = c
         with machine.epoch() as ep:
-            for v in winners:
-                bp["report"].invoke(ep, v)
+            bp["report"].invoke_many(ep, winners)
     return color.to_array()
 
 

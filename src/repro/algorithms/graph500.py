@@ -63,8 +63,7 @@ def bfs_parents(
         levels += 1
         next_frontier = set()
         with machine.epoch() as ep:
-            for v in frontier:
-                visit.invoke(ep, v)
+            visit.invoke_many(ep, frontier)
         frontier = sorted(next_frontier)
     return parent.to_array(), levels
 
@@ -150,7 +149,7 @@ def run_graph500(
     """Kernel-2 harness: BFS from sampled roots, validated, with the
     benchmark's metric shape (edges traversed per run)."""
     rng = np.random.default_rng(seed)
-    degrees = np.array([graph.out_degree(v) for v in range(graph.n_vertices)])
+    degrees = graph.degree_histogram()
     candidates = np.flatnonzero(degrees > 0)
     if len(candidates) == 0:
         raise ValueError("graph has no edges to traverse")

@@ -42,15 +42,14 @@ def k_core(
     n = graph.n_vertices
     bp = bind(kcore_pattern(), machine, graph)
     deg, removed = bp.map("deg"), bp.map("removed")
-    deg.from_array(np.array([graph.out_degree(v) for v in range(n)], dtype=np.int64))
+    deg.from_array(graph.degree_histogram())
 
     frontier = [v for v in range(n) if deg[v] < k]
     for v in frontier:
         removed[v] = 1
     while frontier:
         with machine.epoch() as ep:
-            for v in frontier:
-                bp["drop"].invoke(ep, v)
+            bp["drop"].invoke_many(ep, frontier)
         frontier = [
             v for v in range(n) if removed[v] == 0 and deg[v] < k
         ]

@@ -78,15 +78,13 @@ def maximal_independent_set(
             raise RuntimeError("MIS failed to converge")
         blocked.fill(0)
         with machine.epoch() as ep:
-            for v in undecided:
-                bp["block"].invoke(ep, v)
+            bp["block"].invoke_many(ep, undecided)
         # local, non-graph step: unblocked undecided vertices join
         winners = [v for v in undecided if blocked[v] == 0]
         for v in winners:
             state[v] = IN_SET
         with machine.epoch() as ep:
-            for v in winners:
-                bp["exclude"].invoke(ep, v)
+            bp["exclude"].invoke_many(ep, winners)
     return bp.map("state").to_array() == IN_SET
 
 

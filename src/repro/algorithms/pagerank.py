@@ -51,7 +51,7 @@ def pagerank(
     scatter = bp["scatter"]
     scatter.work = None  # acc is write-only for the action; no dependencies
 
-    out_deg = np.array([graph.out_degree(v) for v in range(n)], dtype=np.float64)
+    out_deg = graph.degree_histogram().astype(np.float64)
     rank = np.full(n, 1.0 / n)
     for _ in range(iterations):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -59,9 +59,7 @@ def pagerank(
         contrib.from_array(c)
         acc.fill(0.0)
         with machine.epoch() as ep:
-            for v in range(n):
-                if c[v] != 0.0:
-                    scatter.invoke(ep, v)
+            scatter.invoke_many(ep, np.flatnonzero(c != 0.0))
         sums = acc.to_array()
         dangling = rank[out_deg == 0].sum()
         new_rank = (1.0 - damping) / n + damping * (sums + dangling / n)
@@ -125,7 +123,7 @@ def pagerank_async(
         bp.map("outgoing"),
         bp.map("share"),
     )
-    out_deg = np.array([graph.out_degree(v) for v in range(n)], dtype=np.float64)
+    out_deg = graph.degree_histogram().astype(np.float64)
     with np.errstate(divide="ignore"):
         share.from_array(np.where(out_deg > 0, damping / out_deg, 0.0))
     residual.from_array(np.full(n, (1.0 - damping) / n))
@@ -140,15 +138,13 @@ def pagerank_async(
     while workset:
         batch = sorted(workset)
         workset.clear()
+        pulses += len(batch)
+        if pulses > max_pulses:  # pragma: no cover - guard
+            raise RuntimeError("async pagerank failed to converge")
         with machine.epoch() as ep:
-            for v in batch:
-                pulses += 1
-                if pulses > max_pulses:  # pragma: no cover - guard
-                    raise RuntimeError("async pagerank failed to converge")
-                absorb.invoke(ep, v)
+            absorb.invoke_many(ep, batch)
         with machine.epoch() as ep:
-            for v in batch:
-                spread.invoke(ep, v)
+            spread.invoke_many(ep, batch)
         # staged shares were consumed by spread; clear them
         for v in batch:
             outgoing[v] = 0.0

@@ -168,8 +168,7 @@ def sssp_pull(
 
     update.work = work
     with machine.epoch() as ep:
-        for t in graph.adj(source).tolist():
-            update.invoke(ep, t)
+        update.invoke_many(ep, graph.adj(source))
     return dist.to_array()
 
 

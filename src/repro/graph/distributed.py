@@ -146,10 +146,11 @@ class DistributedGraph:
         return np.asarray(src, dtype=np.int64), np.asarray(trg, dtype=np.int64)
 
     def degree_histogram(self) -> np.ndarray:
+        """Out-degree of every vertex by global id (CSR ``indptr``
+        differences; local index order is ascending global id)."""
         degs = np.zeros(self.n_vertices, dtype=np.int64)
         for rank, csr in enumerate(self.locals):
-            for li in range(csr.n_local):
-                degs[self.partition.to_global(rank, li)] = csr.out_degree(li)
+            degs[self.partition.local_vertices(rank)] = np.diff(csr.indptr)
         return degs
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -20,11 +20,13 @@ Dependency detection (Sec. IV-C): when an action both reads and writes a
 property map, any actual change of that map's value marks the written
 vertex dependent and calls the action's ``work`` hook — the customization
 point strategies use (``fixed_point`` re-runs the action, Delta-stepping
-re-buckets the vertex).
+re-buckets the vertex).  The vector/native tiers discover dependents one
+envelope at a time and hand the whole array to ``work_many``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -62,7 +64,7 @@ from .native import build_native_plan
 from .pattern import Pattern, PropertyDecl, default_for
 from .planner import ActionPlan, compile_action
 
-WorkHook = Callable[..., None]  # work(ctx, vertex)
+WorkHook = Callable[..., None]  # work(ctx, vertex); work_many(ctx, int64 array)
 
 
 class _Evaluator:
@@ -127,7 +129,13 @@ class BoundAction:
         self.name = plan.action.name
         #: The paper's work hook: ``work(ctx, vertex)`` called when a
         #: dependency is discovered.  ``None`` = dependencies ignored.
-        self.work: Optional[WorkHook] = None
+        #: Assigning it resets :attr:`work_many` (see the property below).
+        self._work: Optional[WorkHook] = None
+        #: Batch form of the hook: ``work_many(ctx, vertices)`` receives
+        #: the dependents one envelope discovered (an int64 array, all
+        #: owned by ``ctx.rank``) in one call.  ``None`` = call ``work``
+        #: per vertex.
+        self.work_many: Optional[WorkHook] = None
         #: Count of property values actually changed by this action.
         self.change_count = 0
         #: Count of modification statements executed (even if value equal).
@@ -176,10 +184,11 @@ class BoundAction:
         # Bulk column sends may bypass the per-payload layer walk only when
         # the stack is exactly one coalescing layer (flush boundaries are
         # then reproduced precisely; any other layer must see each row).
+        # The "off" oracle never takes the bulk path.
         layers = self.mtype.layers
         self._bulk_layer = (
             layers[0]
-            if len(layers) == 1 and isinstance(layers[0], CoalescingLayer)
+            if fp != "off" and len(layers) == 1 and isinstance(layers[0], CoalescingLayer)
             else None
         )
         if self.vector_plan is not None:
@@ -197,6 +206,28 @@ class BoundAction:
                 keys |= set(s.live_in) | set(s.live_out)
         return keys
 
+    # -- the dependency hook -----------------------------------------------------
+    @property
+    def work(self) -> Optional[WorkHook]:
+        return self._work
+
+    @work.setter
+    def work(self, hook: Optional[WorkHook]) -> None:
+        # A batch form belongs to the per-vertex hook it was installed
+        # with; a strategy that sets only ``work`` gets the default loop.
+        self._work = hook
+        self.work_many = None
+
+    def fire_work(self, ctx, vertices: np.ndarray) -> None:
+        """Hand one envelope's dependents to the installed hook."""
+        many = self.work_many
+        if many is not None:
+            many(ctx, vertices)
+        elif self._work is not None:
+            work = self._work
+            for w in vertices.tolist():
+                work(ctx, w)
+
     # -- invocation -------------------------------------------------------------
     def invoke(self, target: Union[Epoch, Machine], v: int) -> None:
         """Start the action at vertex ``v`` (driver side)."""
@@ -206,6 +237,29 @@ class BoundAction:
     def invoke_from(self, ctx, v: int) -> None:
         """Start the action at ``v`` from inside a handler (work hooks)."""
         ctx.send(self.mtype, (int(v), -1, 0))
+
+    def invoke_many(self, target: Union[Epoch, Machine], vertices) -> None:
+        """Start the action at every vertex of ``vertices`` (driver side).
+
+        Same messages, flush boundaries and counters as :meth:`invoke` per
+        vertex in order; behind a single coalescing layer the starts enter
+        the buffers as columns.
+        """
+        machine = target.machine if isinstance(target, Epoch) else target
+        self._send_starts(machine, -1, vertices)
+
+    def invoke_many_from(self, ctx, vertices) -> None:
+        """Bulk :meth:`invoke_from` (what a ``work_many`` hook calls)."""
+        self._send_starts(ctx.machine, ctx.src, vertices)
+
+    def _send_starts(self, machine: Machine, src: int, vertices) -> None:
+        if not isinstance(vertices, (np.ndarray, list, tuple)):
+            vertices = list(vertices)
+        # Always a copy: the buffers keep views of this column until flush.
+        vertices = np.array(vertices, dtype=np.int64)
+        n = len(vertices)
+        if n:
+            self._send_columns(machine, src, WireBatch([vertices, -1, 0], n))
 
     def __call__(self, target: Union[Epoch, Machine], v: int) -> None:
         self.invoke(target, v)
@@ -523,15 +577,8 @@ class BoundAction:
         total = len(targets)
         if total == 0:
             return
-        # The one address resolution of the fan-out: owner_array raises
-        # IndexError for an out-of-range target, as Partition.owner does.
-        owners = part.owner_array(targets)
-        n_ranks = ctx.machine.n_ranks
-        if owners.min() < 0 or owners.max() >= n_ranks:
-            raise ValueError(
-                f"owner map returned a rank outside [0, {n_ranks}) for a "
-                f"target of {self.name}"
-            )
+        # The one address resolution of the fan-out.
+        owners = self._owners(ctx.machine, targets)
         if fused:
             stats.count_native("fused_rounds")
             inline = owners == rank
@@ -570,29 +617,43 @@ class BoundAction:
                     targets, owners = targets[keep], owners[keep]
                     cols = [c[keep] for c in cols]
             stats.count_native("remote_rows", len(targets))
-        self._send_columns(ctx, targets, owners, cols)
+        batch = WireBatch(vp.payload_columns(targets, cols), len(targets))
+        self._send_columns(ctx.machine, rank, batch, owners)
 
-    def _send_columns(self, ctx, targets, owners, cols) -> None:
-        """Ship fan-out rows as column batches, one stable split per rank.
+    def _owners(self, machine: Machine, vertices: np.ndarray) -> np.ndarray:
+        """Owner rank per vertex: ``owner_array`` raises ``IndexError`` for
+        an out-of-range vertex, as ``Partition.owner`` does."""
+        owners = self.bound.graph.partition.owner_array(vertices)
+        n_ranks = machine.n_ranks
+        if owners.min() < 0 or owners.max() >= n_ranks:
+            raise ValueError(
+                f"owner map returned a rank outside [0, {n_ranks}) for a "
+                f"vertex of {self.name}"
+            )
+        return owners
+
+    def _send_columns(self, machine: Machine, src: int, batch: WireBatch, owners=None) -> None:
+        """Ship payload rows as column batches, one stable split per rank.
 
         With a single coalescing layer and spans off, each destination
         rank's rows are appended to its buffer as columns, with the exact
-        flush boundaries sequential ``ctx.send`` calls would produce —
-        logical send counts, flush counts and envelope contents are
-        unchanged.  Any other configuration (telemetry spans,
-        reduction/caching layers, no coalescing) must see every row: the
-        columns are iterated and each row takes the ordinary send path.
+        flush boundaries sequential sends would produce — logical send
+        counts, flush counts and envelope contents are unchanged.  Any
+        other configuration (telemetry spans, reduction/caching layers, no
+        coalescing, the ``off`` oracle) must see every row: the batch is
+        iterated and each row — a tuple of plain Python values — takes the
+        ordinary send path (``inject`` for the driver's ``src == -1``).
+        ``owners`` is the owner of each row's address vertex when the
+        caller has resolved it already.
         """
-        batch = WireBatch(self.vector_plan.payload_columns(targets, cols), len(targets))
-        machine = ctx.machine
         layer = self._bulk_layer
         if layer is None or machine.telemetry.spans_on:
-            send = ctx.send
-            mtype = self.mtype
+            send = machine.inject if src < 0 else partial(machine.transport.send, src)
             for row in batch:
-                send(mtype, row)
+                send(self.mtype, row)
             return
-        src = ctx.rank
+        if owners is None:
+            owners = self._owners(machine, batch.column(0))
         counts = np.bincount(owners, minlength=machine.n_ranks)
         with machine.transport.bulk_guard:
             if counts.max() == batch.nrows:
@@ -740,12 +801,8 @@ class BoundAction:
             # Fired after the locks are released: the hook may send (and
             # the thread transport's layer locks must not nest inside
             # vertex locks held for the whole batch).
-            stats = ctx.stats
-            work = self.work
-            for w in touched.tolist():
-                stats.count_work_item()
-                if work is not None:
-                    work(ctx, w)
+            ctx.stats.count_work_item(len(touched))
+            self.fire_work(ctx, touched)
 
     # -- introspection ------------------------------------------------------------
     def describe(self) -> str:
@@ -773,7 +830,11 @@ class BoundPattern:
         self.pattern = pattern
         self.machine = machine
         self.graph = graph
-        self.lockmap = lockmap or LockMap(graph.n_vertices)
+        # The locking scheme follows the transport (Sec. IV-B) unless the
+        # caller parameterizes the algorithm with a lock map of its own.
+        self.lockmap = lockmap or LockMap(
+            graph.n_vertices, concurrent=machine.transport.concurrent_handlers
+        )
         # Track the lock map on the graph so mutations that add vertices
         # grow its coverage along with the property maps.
         lockreg = getattr(graph, "_lockmaps", None)

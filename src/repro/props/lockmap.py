@@ -15,11 +15,17 @@ acquisition interface, and single-value atomic read-modify-write helpers
 general `atomic_update`).  In CPython the helpers are "atomic" by holding
 the slot lock — the same observable semantics as hardware atomics, which
 is what matters for algorithm correctness under the thread transport.
+
+The cheapest scheme is no locks at all (``concurrent=False``): where no two
+handlers of a rank can run at once there is nothing to exclude.  ``bind``
+picks it from :attr:`~repro.runtime.transport.Transport.concurrent_handlers`
+unless the caller passes a lock map of its own.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
@@ -27,16 +33,35 @@ import numpy as np
 from .property_map import VertexPropertyMap
 
 
-class LockMap:
-    """Locks covering vertex slots at a configurable granularity."""
+_NO_LOCK = nullcontext()  # what the lock-free scheme hands out
 
-    def __init__(self, n_vertices: int, *, block_size: int = 1) -> None:
+
+class LockMap:
+    """Locks covering vertex slots at a configurable granularity.
+
+    ``concurrent=False`` selects the lock-free scheme: no ``Lock`` objects
+    exist, and ``lock``/``lock_for``/``lock_many`` range-check their
+    argument and return one shared no-op context.
+    """
+
+    def __init__(
+        self, n_vertices: int, *, block_size: int = 1, concurrent: bool = True
+    ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.n_vertices = n_vertices
         self.block_size = block_size
-        n_locks = max(1, (n_vertices + block_size - 1) // block_size)
-        self._locks = [threading.Lock() for _ in range(n_locks)]
+        self.concurrent = concurrent
+        self._locks: list = []
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """One lock per block up to ``n_vertices`` (none when lock-free)."""
+        if not self.concurrent:
+            return
+        need = max(1, (self.n_vertices + self.block_size - 1) // self.block_size)
+        while len(self._locks) < need:
+            self._locks.append(threading.Lock())
 
     @classmethod
     def per_vertex(cls, n_vertices: int) -> "LockMap":
@@ -59,14 +84,14 @@ class LockMap:
         if n_vertices <= self.n_vertices:
             return
         self.n_vertices = n_vertices
-        need = max(1, (n_vertices + self.block_size - 1) // self.block_size)
-        while len(self._locks) < need:
-            self._locks.append(threading.Lock())
+        self._allocate()
 
-    def lock_for(self, v: int) -> threading.Lock:
+    def lock_for(self, v: int):
         """The lock guarding vertex ``v``'s slot."""
         if not 0 <= v < max(self.n_vertices, 1):
             raise IndexError(f"vertex {v} out of range")
+        if not self.concurrent:
+            return _NO_LOCK
         return self._locks[v // self.block_size]
 
     def lock(self, v: int):
@@ -83,6 +108,8 @@ class LockMap:
         bad = (v < 0) | (v >= max(self.n_vertices, 1))
         if bad.any():
             raise IndexError(f"vertex {v[bad][0]} out of range")
+        if not self.concurrent:
+            return _NO_LOCK
         locks = self._locks
         return _MultiLock([locks[i] for i in np.unique(v // self.block_size).tolist()])
 

@@ -164,6 +164,14 @@ class VertexPropertyMap:
         """This rank's raw storage (handler-side bulk operations)."""
         return self._slices[rank]
 
+    def get_many(self, vs: np.ndarray, rank: int) -> np.ndarray:
+        """Values of the vertices ``vs``, all owned by ``rank`` (numeric
+        maps; the bulk form of ``get(v, rank=rank)``)."""
+        part = self.graph.partition
+        if (part.owner_array(vs) != rank).any():
+            raise LocalityError(f"{self.name}: vertices not all owned by rank {rank}")
+        return self._slices[rank][part.local_index_array(vs)]
+
     def reset_rank(self, rank: int) -> None:
         """Re-initialize one rank's storage to defaults (its memory is
         gone — used by crash recovery before a checkpoint restore)."""

@@ -260,6 +260,12 @@ class ChaosTransport:
             transport.drain = self._drain_threads
         transport.chaos = self
 
+    @property
+    def concurrent_handlers(self) -> bool:
+        """Faults reorder deliveries; they add no handler thread, so the
+        locking scheme is the wrapped transport's."""
+        return self.inner.concurrent_handlers
+
     # -- clock ----------------------------------------------------------------
     @property
     def tick(self) -> int:

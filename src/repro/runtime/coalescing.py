@@ -29,11 +29,11 @@ class _ColumnBuffer:
     the chunks' row counts live here, with the buffer they belong to.
     """
 
-    __slots__ = ("entries", "nrows", "scalar_rows")
+    __slots__ = ("entries", "nrows")
 
     def __init__(self, rows=()) -> None:
         self.entries: list = list(rows)
-        self.nrows = self.scalar_rows = len(self.entries)
+        self.nrows = len(self.entries)
 
     def __len__(self) -> int:
         return self.nrows
@@ -41,7 +41,6 @@ class _ColumnBuffer:
     def append(self, payload) -> None:
         self.entries.append(payload)
         self.nrows += 1
-        self.scalar_rows += 1
 
     def add(self, chunk: WireBatch) -> None:
         self.entries.append(chunk)
@@ -49,9 +48,11 @@ class _ColumnBuffer:
 
     def take(self):
         """The buffered rows as one frozen envelope body: a column batch
-        when only chunks are held, otherwise row tuples in arrival order."""
-        if not self.scalar_rows:
-            return WireBatch.concat(self.entries).freeze()
+        when only chunks of one width are held, otherwise row tuples in
+        arrival order."""
+        entries = self.entries
+        if all(isinstance(e, WireBatch) and e.ncols == entries[0].ncols for e in entries):
+            return WireBatch.concat(entries).freeze()
         rows: list = []
         for e in self.entries:
             if isinstance(e, WireBatch):
@@ -98,10 +99,11 @@ class CoalescingLayer(Layer):
         fills and flushes at exactly the boundaries ``columns.nrows``
         sequential :meth:`send` calls would produce, so logical send
         counts, flush counts and envelope contents are identical to the
-        per-row path.  An envelope cut entirely from column chunks ships
-        as a column batch; one that also holds scalar payloads (the
-        ``(r, r)`` buffer mixes driver starts with local fan-out) ships as
-        row tuples in arrival order.
+        per-row path.  An envelope cut entirely from column chunks of one
+        width ships as a column batch; one that also holds scalar payloads
+        or chunks of another width (the ``(r, r)`` buffer mixes 3-column
+        starts with wider local fan-out rows) ships as row tuples in
+        arrival order.
         """
         key = src if src >= 0 else dest
         per_dest = self._buffers[key]

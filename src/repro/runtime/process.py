@@ -160,9 +160,7 @@ class _FeedbackContext(HandlerContext):
     """
 
     __slots__ = ()
-
-    def send(self, mtype, payload, dest=None) -> None:
-        self.machine.transport.send(-1, mtype, payload, dest)
+    src = -1
 
 
 class ProcessTransport(Transport):
@@ -672,16 +670,18 @@ class ProcessTransport(Transport):
         return ba
 
     def _apply_work_feedback(self, items) -> None:
+        """Replay recorded dependents through the action's hook — batch
+        form included — one call per owner rank, recorded order kept."""
         machine = self.machine
         for type_id, vertices in items:
             ba = self._bound_action(type_id)
-            hook = ba.work if ba is not None else None
-            if hook is None:
+            if ba is None or (ba.work is None and ba.work_many is None):
                 continue
-            for w in vertices:
-                w = int(w)
-                ctx = _FeedbackContext(machine, machine.resolver.owner(w))
-                hook(ctx, w)
+            vs = np.asarray(vertices, dtype=np.int64)
+            owners = ba.bound.graph.partition.owner_array(vs)
+            # A worker only discovers dependents it owns: one group.
+            for r in np.unique(owners).tolist():
+                ba.fire_work(_FeedbackContext(machine, r), vs[owners == r])
 
     # ------------------------------------------------------------------
     # parent: sync points
@@ -931,20 +931,25 @@ class ProcessTransport(Transport):
             if ba is not None:
                 ba.assign_count = 0
                 ba.change_count = 0
-                if ba.work is not None:
-                    ba.work = self._make_appender(mt.type_id)
+                if ba.work is not None or ba.work_many is not None:
+                    ba.work, ba.work_many = self._make_appenders(mt.type_id)
         # -- checkpoints are parent-owned -------------------------------
         machine.checkpoints = None
         for pm in self._adopted:
             pm.dirty = None
 
-    def _make_appender(self, type_id: int):
+    def _make_appenders(self, type_id: int):
+        """Stand-ins for ``work`` and ``work_many`` that record dependents
+        (one flat list per type, discovery order) for the parent."""
         feedback = self._feedback
 
         def _append(ctx, w) -> None:
             feedback.setdefault(type_id, []).append(int(w))
 
-        return _append
+        def _extend(ctx, vertices) -> None:
+            feedback.setdefault(type_id, []).extend(vertices.tolist())
+
+        return _append, _extend
 
     def _handle_counted(self, env, batch: bool) -> None:
         try:

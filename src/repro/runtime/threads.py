@@ -47,6 +47,9 @@ class ThreadTransport(Transport):
         if threads_per_rank < 1:
             raise ValueError("threads_per_rank must be >= 1")
         self.threads_per_rank = threads_per_rank
+        # One worker per rank serializes that rank's handlers; more need
+        # real vertex locks.
+        self.concurrent_handlers = threads_per_rank > 1
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._mailboxes: list[deque] = [deque() for _ in range(self.n_ranks)]

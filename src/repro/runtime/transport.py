@@ -45,6 +45,11 @@ class HandlerContext:
         self.rank = rank
         self.worker = worker
 
+    @property
+    def src(self) -> int:
+        """The rank this context's sends are attributed to."""
+        return self.rank
+
     # -- sending -------------------------------------------------------------
     def send(
         self,
@@ -53,7 +58,7 @@ class HandlerContext:
         dest: Optional[int] = None,
     ) -> None:
         """Send an active message from this rank (handlers may send freely)."""
-        self.machine.transport.send(self.rank, mtype, payload, dest)
+        self.machine.transport.send(self.src, mtype, payload, dest)
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -86,6 +91,12 @@ class Transport:
     #: guard where one thread runs all handlers; the thread transport
     #: installs its layer lock.
     bulk_guard = nullcontext()
+
+    #: The locking scheme this transport needs (paper Sec. IV-B): can two
+    #: handlers of one rank run at once?  Never where one thread or process
+    #: runs all of a rank's handlers; ``bind`` then builds a lock-free
+    #: :class:`~repro.props.lockmap.LockMap`.
+    concurrent_handlers = False
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine

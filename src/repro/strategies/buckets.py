@@ -17,6 +17,8 @@ import threading
 from collections import deque
 from typing import Optional
 
+import numpy as np
+
 
 class Buckets:
     """Priority buckets of width ``delta``."""
@@ -41,6 +43,21 @@ class Buckets:
             self._buckets.setdefault(i, deque()).append(vertex)
             self.inserts += 1
         return i
+
+    def insert_many(self, vertices, values) -> None:
+        """:meth:`insert` for each ``(vertex, value)`` pair, in order."""
+        values = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError("cannot bucket an infinite priority")
+        indices = (values // self.delta).astype(np.int64).tolist()
+        with self._lock:
+            buckets = self._buckets
+            for i, v in zip(indices, np.asarray(vertices).tolist()):
+                b = buckets.get(i)
+                if b is None:
+                    b = buckets[i] = deque()
+                b.append(v)
+            self.inserts += len(indices)
 
     def pop(self, index: int) -> Optional[int]:
         """Pop one vertex from bucket ``index`` (None if empty)."""

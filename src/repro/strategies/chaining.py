@@ -30,8 +30,7 @@ def chain(
     """
     for action, vertices in steps:
         with machine.epoch() as ep:
-            for v in vertices:
-                action.invoke(ep, v)
+            action.invoke_many(ep, vertices)
 
 
 def run_until_quiet(

@@ -93,6 +93,7 @@ def delta_stepping(
             B.insert(v, pmap[v])
         state.seeded = True
     action.work = lambda ctx, w: B.insert(w, pmap.get(w, rank=ctx.rank))
+    action.work_many = lambda ctx, ws: B.insert_many(ws, pmap.get_many(ws, ctx.rank))
 
     i = B.next_nonempty(state.next_start)
     while i is not None:
@@ -101,16 +102,10 @@ def delta_stepping(
         # (light edges), so the inner loop repeats inside the epoch.
         with machine.epoch() as ep:
             while True:
-                v = B.pop(i)
-                if v is None:
-                    ep.flush()  # finish ongoing actions; they may refill B[i]
-                    if B.bucket_empty(i):
-                        break
-                    continue
-                # stale-entry filter: the vertex may have improved into an
-                # earlier (already settled) bucket — re-run is harmless but
-                # pointless if its current value maps below level i
-                action.invoke(ep, v)
+                action.invoke_many(ep, B.drain(i))
+                ep.flush()  # finish ongoing actions; they may refill B[i]
+                if B.bucket_empty(i):
+                    break
             # Advance the loop state *inside* the epoch body: the
             # end-of-epoch auto-capture (Epoch.__exit__) must record a
             # position consistent with the level just drained.

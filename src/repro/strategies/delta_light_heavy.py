@@ -79,8 +79,12 @@ def delta_stepping_light_heavy(
     def rebucket(ctx, w: int) -> None:
         B.insert(w, dist.get(w, rank=ctx.rank))
 
-    light.work = rebucket
-    heavy.work = rebucket
+    def rebucket_many(ctx, ws) -> None:
+        B.insert_many(ws, dist.get_many(ws, ctx.rank))
+
+    for action in (light, heavy):
+        action.work = rebucket
+        action.work_many = rebucket_many
 
     levels = 0
     i = B.next_nonempty(0)
@@ -89,19 +93,16 @@ def delta_stepping_light_heavy(
         # settle the level on light edges only (work may refill level i)
         with machine.epoch() as ep:
             while True:
-                v = B.pop(i)
-                if v is None:
-                    ep.flush()
-                    if B.bucket_empty(i):
-                        break
-                    continue
-                settled.add(v)
-                light.invoke(ep, v)
+                vs = B.drain(i)
+                settled.update(vs)
+                light.invoke_many(ep, vs)
+                ep.flush()
+                if B.bucket_empty(i):
+                    break
         # heavy edges of the settled set exactly once: their targets land
         # strictly beyond level i, never back into it
         with machine.epoch() as ep:
-            for v in sorted(settled):
-                heavy.invoke(ep, v)
+            heavy.invoke_many(ep, sorted(settled))
         levels += 1
         i = B.next_nonempty(i + 1)
 

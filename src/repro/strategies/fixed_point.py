@@ -22,7 +22,7 @@ from ..runtime.machine import Machine
 
 def fixed_point(machine: Machine, action: BoundAction, vertices: Iterable[int]) -> None:
     """Run ``action`` at ``vertices`` and chase dependencies to a fixed point."""
-    action.work = lambda ctx, w: action.invoke_from(ctx, w)
+    action.work = action.invoke_from
+    action.work_many = action.invoke_many_from
     with machine.epoch() as ep:
-        for v in vertices:
-            action.invoke(ep, v)
+        action.invoke_many(ep, vertices)

@@ -336,8 +336,7 @@ class IncrementalPageRank:
         self._contrib.from_array(values)
         self._acc.fill(0.0)
         with self.machine.epoch() as ep:
-            for v in np.flatnonzero(values != 0.0).tolist():
-                self._scatter.invoke(ep, v)
+            self._scatter.invoke_many(ep, np.flatnonzero(values != 0.0))
         return np.asarray(self._acc.to_array(), dtype=np.float64)
 
     def run(self) -> np.ndarray:

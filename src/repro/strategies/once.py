@@ -22,6 +22,5 @@ def once(machine: Machine, action: BoundAction, vertices: Iterable[int]) -> bool
     action.work = None
     before = action.change_count
     with machine.epoch() as ep:
-        for v in vertices:
-            action.invoke(ep, v)
+        action.invoke_many(ep, vertices)
     return action.change_count > before

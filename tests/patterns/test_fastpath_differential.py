@@ -327,6 +327,41 @@ def test_delta_stepping_differential_process():
     assert np.array_equal(ref, dist)
 
 
+@pytest.mark.parametrize("fast_path", ["vector", "native"])
+def test_batch_work_hook_differential_process(fast_path):
+    """The batch form of the dependency hook closes over driver state, so
+    on the process transport it must run parent-side like the per-vertex
+    one: workers record each envelope's dependents, the parent replays
+    them through ``work_many`` with the owner's rank.  A hook the workers
+    called themselves would fill a forked copy of ``seen`` and re-invoke
+    nothing the parent knows of — a silently wrong fixed point."""
+    g, wbg, s, t = er_instance(n=80, avg_deg=4, seed=21)
+    dist0, deps0 = run_sssp(make_machine("off"), g, wbg, 0)
+    m = make_machine(fast_path, transport="process")
+    try:
+        bp = bind_sssp(m, g, wbg, layers={"relax": {"coalescing": 16}})
+        relax, dist = bp["relax"], bp.map("dist")
+        dist.fill(math.inf)
+        dist[0] = 0.0
+        batches: list = []
+
+        def hook_many(ctx, ws):
+            batches.append((ctx.rank, ws.tolist()))
+            relax.invoke_many_from(ctx, ws)
+
+        relax.work = lambda ctx, w: pytest.fail("per-vertex hook used")
+        relax.work_many = hook_many
+        with m.epoch() as ep:
+            relax.invoke_many(ep, [0])
+        result = dist.to_array()
+    finally:
+        m.shutdown()
+    assert np.array_equal(dist0, result)
+    assert {w for _r, ws in batches for w in ws} == deps0
+    assert all(g.owner(w) == r for r, ws in batches for w in ws)
+    assert max(len(ws) for _r, ws in batches) > 1, "no envelope had >1 dependent"
+
+
 def test_logical_accounting_process_matches_sim():
     """On a single-shot fan-out (no handler re-sends), logical counts are
     schedule-independent, so the merged worker stats must agree exactly

@@ -67,6 +67,53 @@ class TestGranularity:
             lm.lock_many(bad)
 
 
+class TestLockFreeScheme:
+    """``concurrent=False``: the interface and its range checks without a
+    single ``Lock`` — the scheme ``bind`` picks where one thread runs all
+    of a rank's handlers."""
+
+    def test_no_locks_one_shared_noop_context(self):
+        lm = LockMap(10, concurrent=False)
+        assert lm.n_locks == 0 and lm._locks == []
+        ctx = lm.lock(3)
+        assert ctx is lm.lock_for(7) is lm.lock_many(np.array([1, 9, 1]))
+        with ctx:
+            with lm.lock(3):  # re-entrant by construction
+                pass
+
+    @pytest.mark.parametrize("bad", [[2, 5], [-1, 2], np.array([0, 9])])
+    def test_range_checks_kept(self, bad):
+        lm = LockMap(5, concurrent=False)
+        with pytest.raises(IndexError, match="out of range"):
+            lm.lock_many(bad)
+        with pytest.raises(IndexError, match="out of range"):
+            lm.lock(5)
+        with pytest.raises(IndexError, match="out of range"):
+            lm.lock_for(-1)
+
+    @pytest.mark.parametrize("concurrent", [True, False])
+    def test_grow_in_both_schemes(self, concurrent):
+        lm = LockMap(5, block_size=2, concurrent=concurrent)
+        before = list(lm._locks)
+        lm.grow(9)
+        assert lm.n_vertices == 9
+        assert lm.n_locks == (5 if concurrent else 0)
+        assert lm._locks[: len(before)] == before  # identities kept
+        with lm.lock_many([8, 0]):
+            pass
+        with pytest.raises(IndexError):
+            lm.lock(9)
+        lm.grow(4)  # never shrinks
+        assert lm.n_vertices == 9
+
+    def test_atomics_work_without_locks(self, graph):
+        pm = VertexPropertyMap(graph, "f8", default=10.0)
+        lm = LockMap(graph.n_vertices, concurrent=False)
+        assert lm.atomic_min(pm, 2, 4.0) == (True, 10.0)
+        assert lm.atomic_add(pm, 2, 1.5) == 5.5
+        assert lm.compare_and_set(pm, 2, 5.5, 1.0) and pm[2] == 1.0
+
+
 class TestAtomics:
     def test_atomic_min_improves(self, graph):
         pm = VertexPropertyMap(graph, "f8", default=10.0)

@@ -181,7 +181,14 @@ class TestSendRows:
         return [(dest, 0, 2, 5, float(base + i) / 4) for i in range(n)]
 
     @staticmethod
+    def starts_for(dest, n):
+        """Generator starts as ``BoundAction.invoke_many`` sends them."""
+        return [(dest, -1, 0) for _ in range(n)]
+
+    @staticmethod
     def as_columns(rows):
+        if len(rows[0]) == 3:
+            return WireBatch([np.array([r[0] for r in rows]), -1, 0], len(rows))
         return WireBatch(
             [
                 np.array([r[0] for r in rows]),
@@ -260,6 +267,28 @@ class TestSendRows:
         kinds = [kind for *_, kind, _rows in bulk_log]
         assert kinds[0] == "tuple", "an envelope mixing tuples and chunks ships as rows"
         assert "WireBatch" in kinds, "later chunk-only envelopes are columnar again"
+
+    @pytest.mark.parametrize("size", [7, 64])
+    def test_chunks_of_different_widths_ship_as_rows_in_order(self, size):
+        """A 3-column chunk of starts and a 5-column fan-out chunk meet in
+        the ``(r, r)`` buffer (bulk driver starts keyed at their
+        destination, then rank-local fan-out): they cannot be
+        concatenated column-wise, so that envelope ships as row tuples in
+        arrival order — it used to raise ``ValueError`` from
+        ``WireBatch.concat``."""
+        script = [
+            (-1, 1, self.starts_for(1, 3)),  # driver starts: buffer (1, 1)
+            (1, 1, self.rows_for(1, size + 2)),  # local fan-out joins them
+            (-1, 1, self.starts_for(1, 2)),  # starts onto wider chunks
+            (1, 1, self.rows_for(1, 2 * size, base=900)),
+        ]
+        scalar_log, scalar_counters = self.run(size, script, bulk=False)
+        bulk_log, bulk_counters = self.run(size, script, bulk=True)
+        assert self.envelopes(bulk_log) == self.envelopes(scalar_log)
+        assert bulk_counters == scalar_counters
+        kinds = [kind for *_, kind, _rows in bulk_log]
+        assert kinds[0] == "tuple", "a mixed-width envelope ships as rows"
+        assert "WireBatch" in kinds, "later single-width envelopes are columnar again"
 
     def test_scalar_only_buffers_stay_plain_lists(self):
         m = Machine(n_ranks=2)

@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.strategies import Buckets
@@ -60,6 +61,36 @@ class TestBucketOps:
         b.insert(1, 0.0)
         b.insert(2, 5.0)
         assert len(b) == 2
+
+    def test_insert_many_is_repeated_insert(self):
+        """Same buckets, same FIFO order within each, same ``inserts``
+        count, and the same checkpoint, whether the pairs arrive one by
+        one or as arrays (on top of earlier contents)."""
+        rng = np.random.default_rng(4)
+        vertices = rng.integers(0, 50, size=200)
+        values = rng.uniform(0.0, 12.0, size=200)
+        values[::7] = 3.0  # exact bucket boundaries
+        one, many = Buckets(1.5), Buckets(1.5)
+        for b in (one, many):
+            b.insert(99, 4.4)
+        for v, x in zip(vertices.tolist(), values.tolist()):
+            one.insert(v, x)
+        many.insert_many(vertices, values)
+        assert many.inserts == one.inserts == 201
+        assert many.checkpoint_state() == one.checkpoint_state()
+        restored = Buckets(1.5)
+        restored.restore_state(many.checkpoint_state())
+        i = one.next_nonempty()
+        assert restored.drain(i) == one.drain(i)
+        many.insert_many([], [])
+        assert many.inserts == 201
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_insert_many_rejects_non_finite_priorities(self, bad):
+        b = Buckets(1.0)
+        with pytest.raises(ValueError, match="infinite"):
+            b.insert_many([1, 2], [0.5, bad])
+        assert len(b) == 0 and b.inserts == 0
 
     def test_reinsertion_allowed(self):
         """Improved vertices re-enter earlier buckets; stale entries are
