@@ -24,19 +24,17 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def timed_with_warmup(fn, *, warmup: int = 1, repeats: int = 3) -> dict:
     """Time ``fn()`` with explicit warmup passes reported separately.
 
-    The native fast path pays one-time costs on the first run of a given
-    machine/plan shape — kernel generation plus (with numba) JIT
-    compilation.  Folding that into steady-state numbers would make the
-    native tier look arbitrarily slow or fast depending on cache state,
-    so benches call ``fn`` ``warmup`` times first and report:
+    The first run of a given machine/plan shape pays one-time costs —
+    imports, allocator growth, cold caches.  Folding that into
+    steady-state numbers would make a tier look slow or fast depending on
+    run order, so benches call ``fn`` ``warmup`` times first and report:
 
-    - ``warmup_s``: wall seconds of each warmup pass (JIT time lives here)
+    - ``warmup_s``: wall seconds of each warmup pass
     - ``runs_s``:   wall seconds of each measured pass
     - ``best_s``:   min of the measured passes (steady-state figure)
 
     ``fn`` must be self-contained (build machine, bind, run) so every
-    pass re-executes the full algorithm; per-process kernel caches make
-    the later passes steady-state.
+    pass re-executes the full algorithm.
     """
     warmup_s = []
     for _ in range(warmup):

@@ -301,7 +301,7 @@ def to_prometheus(machine) -> str:
         f"{stats.checkpoint.dirty_fraction:.9f}",
     )
 
-    # -- native kernel tier (reflective over NativeStats) --------------------
+    # -- native fusion tier (reflective over NativeStats) --------------------
     for fld in dataclasses.fields(stats.native):
         metric = f"repro_native_{fld.name}"
         kind = "counter" if fld.type in ("int", int) else "gauge"
@@ -334,9 +334,8 @@ def to_prometheus(machine) -> str:
     # -- live health (reflective over HealthStats) ---------------------------
     health = getattr(machine, "health", None)
     if health is not None and health.enabled:
-        # Scrape-time refresh: memory accounting walks property maps, shm
-        # segments, and the kernel-cache directory here — never on the
-        # hot path.
+        # Scrape-time refresh: memory accounting walks property maps and
+        # shm segments here — never on the hot path.
         health.refresh_skew()
         health.refresh_memory()
         for fld in dataclasses.fields(stats.health):

@@ -643,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(FAST_PATHS),
             default="off",
             help="execution tier: interpreted walk, bind-time compiled "
-            "closures, numpy batch kernels, or generated native kernels "
-            "(falls back to vector when numba is unavailable)",
+            "closures, numpy batch kernels, or native = vector + proven "
+            "fusion of rank-local rounds",
         )
         p.add_argument(
             "--partition",

@@ -60,7 +60,7 @@ from .expr import (
 )
 from ..runtime.coalescing import CoalescingLayer
 from .fastpath import _MISSING, compile_steps, recognize_vector_shape
-from .native import build_native_plan
+from .locality import fusion_report
 from .pattern import Pattern, PropertyDecl, default_for
 from .planner import ActionPlan, compile_action
 
@@ -165,22 +165,22 @@ class BoundAction:
         # payloads/statistics/values to the interpreted walk.
         # "vector": additionally, recognizable plan shapes get a numpy
         # batch kernel installed as the message type's batch handler.
-        # "native": recognizable shapes are lowered to generated per-schema
-        # kernel modules (repro/patterns/native.py) with gather->evaluate
-        # fusion for rank-local edges; unrecognized shapes fall back to
-        # the compiled walk exactly as "vector" does.
+        # "native": "vector" plus gather->evaluate fusion where the planner
+        # proves it legal (locality.fusion_report): rank-local edges are
+        # applied inline and remote rows are deduped before the wire.
+        # Unrecognized shapes fall back to the compiled walk as "vector".
         fp = bound.machine.fast_path
         self._compiled = compile_steps(self) if fp != "off" else None
         self._walk_fn = self._walk if self._compiled is None else self._walk_compiled
         self.vector_plan = (
             recognize_vector_shape(self) if fp in ("vector", "native") else None
         )
-        self.native_plan = None
+        self._fused = False
         if fp == "native":
-            if self.vector_plan is not None:
-                self.native_plan = build_native_plan(self)
-            if self.native_plan is None:
+            if self.vector_plan is None:
                 bound.machine.stats.count_native("fallbacks")
+            else:
+                self._fused = fusion_report(plan).fusable
         # Bulk column sends may bypass the per-payload layer walk only when
         # the stack is exactly one coalescing layer (flush boundaries are
         # then reproduced precisely; any other layer must see each row).
@@ -546,34 +546,24 @@ class BoundAction:
         """Multi-source generator fan-out for a recognized plan shape.
 
         One kernel evaluation per carried env key produces that key's
-        column for every out-edge of every vertex in ``starts`` (vector:
-        the bind-time numpy closures over per-edge index arrays; native
-        with fusion proven: the generated ``fanout`` kernel).  Rows whose
+        column for every out-edge of every vertex in ``starts`` (the
+        bind-time numpy closures over per-edge index arrays).  Rows whose
         eval step runs here are applied inline and are not messages:
-        self-loop arcs, as elision would, and — when the planner proved the
-        gather -> evaluate pair fusable
+        self-loop arcs, as elision would, and — under ``fast_path="native"``
+        when the planner proved the gather -> evaluate pair fusable
         (:func:`~repro.patterns.locality.fusion_report`) — every rank-local
         edge, the collapsed message round.  All other rows leave through
         :meth:`_send_columns`; counts and payload values match the scalar
         walk's exactly.
         """
         vp = self.vector_plan
-        np_plan = self.native_plan
-        fused = np_plan is not None and np_plan.fused
+        fused = self._fused
         g = self.bound.graph
-        part = g.partition
         rank = ctx.rank
-        csr = g.locals[rank]
         stats = ctx.stats
         vglob = np.asarray(starts, dtype=np.int64)
-        vloc = part.local_index_array(vglob)
-        if fused:
-            arrays = [m.local_slice(rank) for m in np_plan.vmaps + np_plan.emaps]
-            targets, *cols = np_plan.kernels["fanout"](
-                vloc, vglob, csr.indptr, csr.targets, *arrays
-            )
-        else:
-            targets, sources, cols = vp.fan_out(rank, csr, vloc, vglob)
+        vloc = g.partition.local_index_array(vglob)
+        targets, sources, cols = vp.fan_out(rank, g.locals[rank], vloc, vglob)
         total = len(targets)
         if total == 0:
             return
@@ -767,35 +757,24 @@ class BoundAction:
 
         Equivalent to running the merged eval+modify handler once per
         payload: the scatter's compare-and-update *is* the condition test
-        plus assignment, applied under every touched vertex's lock (the
-        native tier runs its generated ``scatter``/``collect`` kernels in
-        place of ``scatter_extremum``/``np.unique``).  The work hook fires
-        once per vertex whose value the batch improved — the same
-        dependent-vertex set the scalar walk discovers (it may fire fewer
-        times for vertices improved repeatedly within one batch, which
-        only dedupes re-activation).
+        plus assignment, applied under every touched vertex's lock.  The
+        work hook fires once per vertex whose value the batch improved —
+        the same dependent-vertex set the scalar walk discovers (it may
+        fire fewer times for vertices improved repeatedly within one batch,
+        which only dedupes re-activation).
         """
         vp = self.vector_plan
-        np_plan = self.native_plan
         dv = np.asarray(dests, dtype=np.int64)
         cv = np.asarray(cands)
         local = self.bound.graph.partition.local_index_array(dv)
         self.assign_count += len(dv)
         with self.bound.lockmap.lock_many(dv):
-            if np_plan is None:
-                changed = vp.target_map.scatter_extremum(
-                    ctx.rank, local, cv, minimize=vp.minimize
-                )
-            else:
-                changed = vp.target_map.scatter_with(
-                    ctx.rank, local, cv, np_plan.kernels["scatter"]
-                )
+            changed = vp.target_map.scatter_extremum(
+                ctx.rank, local, cv, minimize=vp.minimize
+            )
         if not changed.any():
             return
-        if np_plan is None:
-            touched = np.unique(dv[changed])
-        else:
-            touched = np_plan.kernels["collect"](dv, changed)
+        touched = np.unique(dv[changed])
         self.change_count += len(touched)
         if vp.dependent:
             # Fired after the locks are released: the hook may send (and

@@ -63,8 +63,6 @@ from .expr import (
     unalias,
 )
 
-FAST_PATHS = ("off", "compiled", "vector", "native")
-
 _MISSING = object()  # sentinel: distinguishes "absent" from stored None
 _INPUT_VALUE = object()  # sentinel: carried key whose value is the input vertex
 
@@ -349,10 +347,6 @@ class VectorPlan:
     slot_sig: tuple  # the slot ids, in payload order (batch matching)
     payload_len: int  # 3 + 2 * len(carry_vecs)
     cand_pos: int  # index of the candidate value within the payload
-    # Source-level view of carry_vecs — [(slot, Expr | _INPUT_VALUE)] — so
-    # the native backend (:mod:`repro.patterns.native`) can re-lower each
-    # carried value to generated kernel source instead of closures.
-    carry_exprs: list
 
     @property
     def cand_col(self) -> int:
@@ -576,7 +570,6 @@ def recognize_vector_shape(ba) -> Optional[VectorPlan]:
         return None
     # Every carried key must have a source-local vector kernel.
     carry_vecs: list = []
-    carry_exprs: list = []
     slot_sig: list = []
     cand_pos = -1
     for i, k in enumerate(payload_keys):
@@ -594,7 +587,6 @@ def recognize_vector_shape(ba) -> Optional[VectorPlan]:
             return None
         slot = ba._slot_of[k]
         carry_vecs.append((slot, kern))
-        carry_exprs.append((slot, src_e))
         slot_sig.append(slot)
         if k == cand_key:
             cand_pos = 3 + 2 * i + 1
@@ -609,5 +601,4 @@ def recognize_vector_shape(ba) -> Optional[VectorPlan]:
         slot_sig=tuple(slot_sig),
         payload_len=3 + 2 * len(carry_vecs),
         cand_pos=cand_pos,
-        carry_exprs=carry_exprs,
     )

@@ -214,11 +214,11 @@ class LocalityTree:
 
 @dataclass(frozen=True)
 class FusionReport:
-    """Whether a plan's gather -> evaluate pair may be fused into one
-    kernel (``fast_path="native"``), and why not when it may not.
+    """Whether a plan's gather -> evaluate pair may be fused
+    (``fast_path="native"``), and why not when it may not.
 
     Fusion executes the generator fan-out *and* the eval-step's
-    compare-and-assign in a single kernel invocation at the source rank
+    compare-and-assign in a single pass at the source rank
     for every generated neighbour that is rank-local — collapsing the
     gather -> evaluate message round to zero messages for those edges.
     Legality requires two properties, both provable statically:
@@ -279,7 +279,7 @@ def fusion_report(plan) -> FusionReport:
     """Structural fusion legality for an :class:`~repro.patterns.planner.ActionPlan`.
 
     This is the planner-level half of the decision (shape only); the
-    native backend additionally requires the bound property maps to be
+    native tier additionally requires the bound property maps to be
     numeric (checked at bind time by the vector-shape recognizer).
     """
 

@@ -176,7 +176,7 @@ class ActionPlan:
         With ``fused=True``, count as the native fast path executes when
         :func:`~repro.patterns.locality.fusion_report` proves the
         gather -> evaluate pair fusable: the evaluate hop is performed
-        inline by the fused kernel, so one message round disappears from
+        inline at the source rank, so one message round disappears from
         the straight-line count.
         """
         base = sum(cp.static_message_count() for cp in self.cond_plans)

@@ -243,24 +243,6 @@ class VertexPropertyMap:
         np.maximum.at(arr, local_idx, values)
         return arr[local_idx] > before
 
-    def scatter_with(
-        self, rank: int, local_idx: np.ndarray, values: np.ndarray, kernel
-    ) -> np.ndarray:
-        """Bulk scatter through a generated kernel (native fast path).
-
-        Same contract as :meth:`scatter_extremum` — the kernel receives
-        ``(backing_array, local_idx, values)``, performs the in-place
-        compare-and-update, and returns the changed mask — but the update
-        loop is the per-schema generated (optionally JIT-compiled) kernel
-        from :mod:`repro.patterns.native`.  Dirty tracking stays here so
-        checkpoint delta capture sees native writes exactly like vector
-        ones.
-        """
-        arr = self._slices[rank]
-        if self.dirty is not None:
-            self.dirty.mark_array(rank, local_idx)
-        return kernel(arr, local_idx, values)
-
     def __len__(self) -> int:
         return self.graph.n_vertices
 

@@ -7,9 +7,9 @@ final state" (the checkpoint answers that) but "what was the machine
 answers it with a bounded per-rank ring buffer of structured runtime
 events — epoch boundaries, termination-detector probes, reliable-delivery
 retries, chaos faults, checkpoint captures, recovery rollbacks, graph
-mutations, native kernel compiles — recorded unconditionally (unlike
-telemetry, which defaults to ``off``) at a cost of one deque append per
-*coarse* runtime event, never per message.
+mutations — recorded unconditionally (unlike telemetry, which defaults
+to ``off``) at a cost of one deque append per *coarse* runtime event,
+never per message.
 
 Design constraints:
 
@@ -47,7 +47,6 @@ accepts any kind):
 ``restore``          a checkpoint was restored (index/epoch)
 ``recovery``         the coordinator rolled back and is replaying
 ``mutation``         a graph mutation batch was applied (version/op counts)
-``kernel_compile``   the native tier generated a kernel module (key/origin)
 ``health``           a watchdog verdict changed (name/firing/detail)
 ``sync``             a process-transport worker shipped its sync blob home
 ``dump``             the recorder wrote itself to disk (path/reason)

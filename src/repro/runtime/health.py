@@ -23,9 +23,8 @@ families of signals:
   live, plus the static vertex/edge partition balance, each condensed to
   a Gini coefficient in [0, 1) (0 = perfectly balanced).  These are the
   inputs the elastic-partitioning roadmap item needs, surfaced as gauges
-  today.  Memory accounting (property-map bytes, shared-memory segments,
-  on-disk kernel cache) rides along, refreshed on scrape so the hot path
-  never walks a directory.
+  today.  Memory accounting (property-map bytes, shared-memory segments)
+  rides along, refreshed on scrape so the hot path never pays for it.
 
 Everything lands in :class:`HealthStats` — a plain dataclass on the
 :class:`~repro.runtime.stats.StatsRegistry` — so the reflective
@@ -77,7 +76,6 @@ class HealthStats:
     edge_skew: float = 0.0  # Gini over partition edge counts
     property_map_bytes: int = 0  # live property-map storage
     shared_memory_bytes: int = 0  # process-transport shm segments
-    kernel_cache_bytes: int = 0  # on-disk native kernel cache
 
 
 @dataclass(frozen=True)
@@ -356,11 +354,10 @@ class HealthMonitor:
 
     def refresh_memory(self) -> None:
         """Recompute the memory gauges.  Scrape-time only: walks property
-        maps, shm segments, and the on-disk kernel cache."""
+        maps and shm segments."""
         st = self.machine.stats.health
         st.property_map_bytes = self._property_map_bytes()
         st.shared_memory_bytes = self._shared_memory_bytes()
-        st.kernel_cache_bytes = self._kernel_cache_bytes()
 
     def _property_map_bytes(self) -> int:
         graph = self.machine.graph
@@ -385,26 +382,6 @@ class HealthMonitor:
             return sum(shm.size for shm in shm_by_map.values())
         except Exception:  # pragma: no cover - segments mid-teardown
             return 0
-
-    def _kernel_cache_bytes(self) -> int:
-        import os
-
-        try:
-            from ..patterns.kernelcache import cache_dir
-
-            root = cache_dir()
-        except Exception:  # pragma: no cover - optional subsystem
-            return 0
-        if not os.path.isdir(root):
-            return 0
-        total = 0
-        for dirpath, _dirnames, filenames in os.walk(root):
-            for fn in filenames:
-                try:
-                    total += os.path.getsize(os.path.join(dirpath, fn))
-                except OSError:  # pragma: no cover - racing cleanup
-                    pass
-        return total
 
     # -- status (/status JSON) ------------------------------------------------
     def status(self) -> dict:

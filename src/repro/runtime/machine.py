@@ -51,32 +51,8 @@ from .termination import make_detector
 from .threads import ThreadTransport
 from .transport import HandlerContext
 
-#: Valid values for ``Machine(fast_path=...)``.  Kept in sync with
-#: ``repro.patterns.fastpath.FAST_PATHS`` (defined here too so the runtime
-#: package never imports the patterns package).
+#: Valid values for ``Machine(fast_path=...)``.
 FAST_PATHS = ("off", "compiled", "vector", "native")
-
-#: Valid values for ``Machine(native_backend=...)``.
-NATIVE_BACKENDS = ("auto", "jit", "interp")
-
-# One-time flag for the numba-missing degradation warning: binding many
-# machines in one process must not drown the user in repeats.
-_warned_no_numba = False
-
-
-def _reset_native_warning() -> None:
-    """Re-arm the one-time numba-missing warning (tests only)."""
-    global _warned_no_numba
-    _warned_no_numba = False
-
-
-def _numba_available() -> bool:
-    import importlib.util
-
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - defensive
-        return False
 
 
 class Machine:
@@ -106,31 +82,28 @@ class Machine:
             raise ValueError(
                 f"unknown fast_path {fast_path!r}; use one of {FAST_PATHS}"
             )
+        # ``native_backend`` survives only as a keyword for callers that
+        # still pass it: None and "interp" (numpy, the one implementation)
+        # are accepted and not stored; any other value names the removal.
+        if native_backend not in (None, "interp"):
+            raise ValueError(
+                f"native_backend={native_backend!r} was removed: "
+                "fast_path='native' is the vector tier plus proven fusion "
+                "and has no other backend"
+            )
         self.n_ranks = n_ranks
-        #: The fast path the caller asked for, before degradation.
-        self.requested_fast_path = fast_path
-        #: Kernel backend for ``fast_path="native"``: ``"jit"`` (Numba
-        #: ``@njit`` loop kernels), ``"interp"`` (the same generated module
-        #: run as vectorized numpy — identical values, no JIT), or ``None``
-        #: for every other fast path.  Resolution of ``"auto"`` (the
-        #: default): ``"jit"`` when numba imports, else degrade the whole
-        #: machine to ``fast_path="vector"`` with a one-time warning.
-        self.native_backend: Optional[str] = None
-        if fast_path == "native":
-            fast_path = self._resolve_native(native_backend)
         #: Execution strategy for bound patterns: ``"off"`` walks the
         #: expression tree per message (reference semantics), ``"compiled"``
         #: runs per-step closures compiled at bind() time, ``"vector"``
         #: additionally installs numpy batch kernels for recognizable plan
         #: shapes (falling back to the compiled walk otherwise), and
-        #: ``"native"`` generates fused per-schema kernel modules
-        #: (:mod:`repro.patterns.native`).
+        #: ``"native"`` is ``"vector"`` plus gather->evaluate fusion where
+        #: the planner proves it legal
+        #: (:func:`repro.patterns.locality.fusion_report`).
         self.fast_path = fast_path
         self.registry = MessageRegistry()
         self.resolver = AddressResolver(n_ranks)
         self.stats = StatsRegistry()
-        if self.requested_fast_path == "native" and self.fast_path != "native":
-            self.stats.count_native("fallbacks")
         #: Causal telemetry hub (docs/OBSERVABILITY.md).  Always present;
         #: its level ("off" | "counters" | "spans") decides what it records.
         self.telemetry: Telemetry = make_telemetry(self, telemetry)
@@ -230,53 +203,6 @@ class Machine:
             self.observer.start()
             self.health.start_heartbeat()
         return self.observer
-
-    def _resolve_native(self, backend: Optional[str]) -> str:
-        """Resolve the native-tier backend; returns the effective fast path.
-
-        Precedence: explicit ``native_backend`` kwarg, then the
-        ``REPRO_NATIVE_BACKEND`` environment variable, then ``"auto"``.
-        ``"jit"`` demands numba (raises when missing); ``"auto"`` without
-        numba degrades the machine to ``fast_path="vector"`` with a
-        one-time warning (satellite: graceful degradation).
-        """
-        import os
-        import warnings
-
-        global _warned_no_numba
-        if backend is None:
-            backend = os.environ.get("REPRO_NATIVE_BACKEND") or "auto"
-        if backend not in NATIVE_BACKENDS:
-            raise ValueError(
-                f"unknown native_backend {backend!r}; use one of {NATIVE_BACKENDS}"
-            )
-        if backend == "interp":
-            self.native_backend = "interp"
-            return "native"
-        have_numba = _numba_available()
-        if backend == "jit":
-            if not have_numba:
-                raise RuntimeError(
-                    "native_backend='jit' requires numba; install the "
-                    "'native' extra (pip install repro[native]) or use "
-                    "native_backend='interp'"
-                )
-            self.native_backend = "jit"
-            return "native"
-        # auto
-        if have_numba:
-            self.native_backend = "jit"
-            return "native"
-        if not _warned_no_numba:
-            _warned_no_numba = True
-            warnings.warn(
-                "fast_path='native' requested but numba is not installed; "
-                "falling back to fast_path='vector' (install the 'native' "
-                "extra: pip install repro[native])",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "vector"
 
     def enable_checkpoints(
         self, config: Optional[CheckpointConfig] = None

@@ -734,7 +734,7 @@ class ProcessTransport(Transport):
         worker_chaos = ChaosStats(**blob["stats"]["chaos"])
         for f in ChaosStats.__dataclass_fields__:
             setattr(st.chaos, f, getattr(st.chaos, f) + getattr(worker_chaos, f))
-        # -- native-kernel counters (shipped outside checkpoint_state so
+        # -- native fusion counters (shipped outside checkpoint_state so
         # the recovery differential never sees them) -------------------
         for f, v in blob.get("native", {}).items():
             setattr(st.native, f, getattr(st.native, f) + v)
@@ -901,8 +901,8 @@ class ProcessTransport(Transport):
         st._current = EpochStats(epoch_index=0)
         st.total = EpochStats(epoch_index=-1)
         st.chaos = ChaosStats()
-        # Native-kernel counters restart at zero too: the fork inherited
-        # the parent's bind-time compile counts, which the parent already
+        # Native fusion counters restart at zero too: the fork inherited
+        # the parent's bind-time fallback counts, which the parent already
         # reports; this worker ships only what it does itself.
         st.native = NativeStats()
         # Health/flight observability: fresh worker-side accounting (the

@@ -139,25 +139,18 @@ class CheckpointStats:
 
 @dataclass
 class NativeStats:
-    """Native-tier kernel counters (``fast_path="native"``).
+    """Native-tier fusion counters (``fast_path="native"``).
 
-    These describe the codegen machinery — kernels generated, cache
-    traffic, fused rounds — not the algorithm, so like
-    :class:`CheckpointStats` they are excluded from
-    :meth:`StatsRegistry.summary` and :meth:`StatsRegistry.checkpoint_state`:
-    a run must report the same logical accounting whether its kernels came
-    from a compile, the in-memory cache, or the on-disk cache.  Exported
-    as ``repro_native_*`` by the reflective Prometheus path.
+    These describe how often fusion collapsed a message round, not the
+    algorithm, so like :class:`CheckpointStats` they are excluded from
+    :meth:`StatsRegistry.summary` and :meth:`StatsRegistry.checkpoint_state`.
+    Exported as ``repro_native_*`` by the reflective Prometheus path.
     """
 
-    kernel_compiles: int = 0  # kernel sources generated (cache misses)
-    kernel_cache_hits: int = 0  # in-memory kernel cache hits
-    disk_cache_hits: int = 0  # kernels loaded from the on-disk cache
-    fused_rounds: int = 0  # fused gather->evaluate kernel invocations
+    fused_rounds: int = 0  # fused gather->evaluate fan-outs
     fused_edges: int = 0  # rank-local edges applied without a message
     remote_rows: int = 0  # rows bulk-appended into coalescing buffers
-    fallbacks: int = 0  # actions that fell back to the vector/compiled path
-    jit_seconds: float = 0.0  # wall time spent compiling (JIT backend)
+    fallbacks: int = 0  # actions whose shape the vector tier rejects
 
 
 @dataclass
@@ -558,7 +551,6 @@ class StatsRegistry:
             ("edge skew", f"{h.edge_skew:.3f}"),
             ("property map bytes", h.property_map_bytes),
             ("shared memory bytes", h.shared_memory_bytes),
-            ("kernel cache bytes", h.kernel_cache_bytes),
         ]
         width = max(len(n) for n, _ in rows)
         return "\n".join(f"{n:<{width}}  {v:>12}" for n, v in rows)
@@ -603,17 +595,13 @@ class StatsRegistry:
         return "\n".join(f"{n:<{width}}  {v:>10}" for n, v in rows)
 
     def native_report(self) -> str:
-        """One-line-per-counter native kernel summary."""
+        """One-line-per-counter native fusion summary."""
         n = self.native
         rows: list[tuple[str, object]] = [
-            ("kernel compiles", n.kernel_compiles),
-            ("kernel cache hits", n.kernel_cache_hits),
-            ("disk cache hits", n.disk_cache_hits),
             ("fused rounds", n.fused_rounds),
             ("fused edges", n.fused_edges),
             ("remote rows", n.remote_rows),
             ("fallbacks", n.fallbacks),
-            ("jit seconds", f"{n.jit_seconds:.3f}"),
         ]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {v:>10}" for name, v in rows)
@@ -673,8 +661,8 @@ class StatsRegistry:
             lines.append("checkpoint/recovery")
             lines.append(self.checkpoint_report())
         nat = self.native
-        if nat.kernel_compiles or nat.kernel_cache_hits or nat.fallbacks:
+        if nat.fused_rounds or nat.fallbacks:
             lines.append("")
-            lines.append("native kernels")
+            lines.append("native fusion")
             lines.append(self.native_report())
         return "\n".join(lines)

@@ -6,7 +6,8 @@ default with the bound port reported on ``.port`` — with job routes:
 
 * ``POST /jobs`` ``{"algorithm": ..., "params": {...}}`` → **202** with
   the job snapshot; **429** when admission control refuses; **400** on
-  validation errors.
+  validation errors or a negative ``Content-Length``; **413** when the
+  declared body exceeds :data:`MAX_BODY_BYTES`.
 * ``GET /jobs`` → all job snapshots (most recent last).
 * ``GET /jobs/<id>`` → one job snapshot.
 * ``GET /jobs/<id>/result[?wait=SECONDS]`` → **200** with the result
@@ -33,6 +34,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from .engine import EngineBusy, GraphEngine, UnknownJob
+
+#: Largest ``POST /jobs`` body read; a longer declared length gets 413
+#: without reading (a job request is a few hundred bytes of JSON).
+MAX_BODY_BYTES = 1 << 20
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
@@ -175,6 +180,14 @@ def _make_handler(engine: GraphEngine):
         def _submit(self) -> None:
             try:
                 length = int(self.headers.get("Content-Length") or 0)
+                if length < 0:
+                    raise ValueError(f"negative Content-Length {length}")
+                if length > MAX_BODY_BYTES:
+                    self._send_json(413, {
+                        "error": f"request body of {length} bytes exceeds "
+                        f"{MAX_BODY_BYTES}",
+                    })
+                    return
                 body = json.loads(self.rfile.read(length) or b"{}")
                 if not isinstance(body, dict):
                     raise ValueError("request body must be a JSON object")

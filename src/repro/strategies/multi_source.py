@@ -79,8 +79,7 @@ class MultiSourceRunner:
         )
         # Mirror the pattern executor: the vectorized delivery path is a
         # fast-path feature, and "native" machines get the same numpy
-        # scatter (the schema here is one fixed-width extremum row — the
-        # generated-kernel tier would lower to the identical minimum.at).
+        # scatter (native is the vector tier plus fusion).
         if machine.fast_path in ("vector", "native"):
             self.mtype.batch_handler = self._batch_handler
 

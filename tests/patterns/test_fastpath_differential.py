@@ -614,8 +614,7 @@ def test_out_of_range_target_raises_on_every_path(fast_path):
     columnar fan-out's one ``owner_array`` call exactly as it does from
     ``Partition.owner`` on the scalar send path."""
     g, wbg, s, t = er_instance(n=40, avg_deg=3, seed=9)
-    kw = {"native_backend": "interp"} if fast_path == "native" else {}
-    m = Machine(n_ranks=4, fast_path=fast_path, **kw)
+    m = Machine(n_ranks=4, fast_path=fast_path)
     bp = bind_sssp(m, g, wbg, layers={"relax": {"coalescing": 8}})
     csr = g.locals[g.owner(0)]
     saved = csr.targets.copy()

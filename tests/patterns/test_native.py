@@ -1,17 +1,17 @@
-"""Native codegen tier: lowering, kernel cache, degradation, fusion.
+"""Native tier: the vector tier plus proven gather->evaluate fusion.
 
-The native fast path generates a per-(shape, dtypes, schema) kernel
-module, loads it through a two-level (memory + disk) cache, and — when
-the planner proves the gather->evaluate pair rank-local — fuses the two
-message rounds into one.  Differential correctness against the
-interpreted oracle lives in ``test_fastpath_differential.py``; this file
-tests the machinery itself.
+When the planner proves the gather->evaluate pair fusable
+(:func:`~repro.patterns.locality.fusion_report`), ``fast_path="native"``
+applies rank-local edges inline and dedupes remote rows before the wire,
+running on the vector tier's own ``VectorPlan`` closures.  Differential
+correctness against the interpreted oracle lives in
+``test_fastpath_differential.py``; this file tests the legality analysis,
+the retired ``native_backend`` keyword and the executor integration.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -19,26 +19,11 @@ import pytest
 from repro.algorithms.sssp import bind_sssp
 from repro.graph import build_graph, erdos_renyi, path, uniform_weights
 from repro.patterns import Pattern, bind, compile_action, trg
-from repro.patterns.kernelcache import (
-    CODEGEN_VERSION,
-    cache_key,
-    clear_memory_cache,
-    load_kernels,
-)
 from repro.patterns.locality import fusion_report
-from repro.patterns.native import build_native_plan, generate_source
-from repro.runtime.machine import (
-    FAST_PATHS,
-    NATIVE_BACKENDS,
-    Machine,
-    _numba_available,
-    _reset_native_warning,
-)
+from repro.runtime.machine import FAST_PATHS, Machine
 from repro.runtime.wire import WireBatch
 
 from .conftest import make_jump_pattern, make_sssp_pattern
-
-HAVE_NUMBA = _numba_available()
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +38,6 @@ def small_instance(n=40, m=160, seed=3, n_ranks=2):
 
 
 def native_machine(n_ranks=2, **kw):
-    kw.setdefault("native_backend", "interp")
     return Machine(n_ranks, fast_path="native", **kw)
 
 
@@ -112,119 +96,23 @@ class TestFusionReport:
 
 
 # ---------------------------------------------------------------------------
-# code generation and the kernel cache
-# ---------------------------------------------------------------------------
-
-
-def sssp_spec(n_ranks=2):
-    g, wbg = small_instance(n_ranks=n_ranks)
-    m = native_machine(n_ranks=n_ranks)
-    bp = bind_sssp(m, g, wbg)
-    np_plan = bp["relax"].native_plan
-    assert np_plan is not None
-    return np_plan
-
-
-class TestCodegen:
-    def test_generated_source_is_deterministic(self):
-        plan = sssp_spec()
-        assert generate_source(plan.spec) == generate_source(plan.spec)
-
-    def test_generated_module_shape(self):
-        plan = sssp_spec()
-        src = generate_source(plan.spec)
-        ns: dict = {}
-        exec(compile(src, "<kernel>", "exec"), ns)
-        kernels = ns["make"](None)
-        assert set(kernels) == {"fanout", "scatter", "collect"}
-
-    def test_scatter_kernel_is_extremum_update(self):
-        plan = sssp_spec()
-        arr = np.array([5.0, 2.0, 9.0])
-        idx = np.array([0, 0, 2])
-        vals = np.array([3.0, 4.0, 11.0])
-        changed = plan.kernels["scatter"](arr, idx, vals)
-        assert arr.tolist() == [3.0, 2.0, 9.0]  # min kept, 11 rejected
-        # mask: target ended below this row's pre-round read (rows 0 and 1
-        # both observe vertex 0 improve; the dependent set is their union)
-        assert changed.tolist() == [True, True, False]
-
-    def test_payload_columns_match_scalar_payload_layout(self):
-        plan = sssp_spec()
-        dests = np.array([7, 9])
-        cols = [np.array([1.5, 2.5])]
-        rows = list(WireBatch(plan.vector.payload_columns(dests, cols), 2))
-        esi = plan.spec["esi"]
-        slot = plan.spec["slots"][0]
-        assert rows == [(7, 0, esi, slot, 1.5), (9, 0, esi, slot, 2.5)]
-
-    def test_collect_is_unique_changed_dests(self):
-        plan = sssp_spec()
-        dv = np.array([4, 4, 2, 9])
-        changed = np.array([True, True, True, False])
-        assert plan.kernels["collect"](dv, changed).tolist() == [2, 4]
-
-
-class TestKernelCache:
-    def test_cache_key_versioned_and_shape_sensitive(self):
-        a = {"kind": "extremum_fanout", "cols": ["x"]}
-        b = {"kind": "extremum_fanout", "cols": ["y"]}
-        assert cache_key(a) == cache_key(a)
-        assert cache_key(a) != cache_key(b)
-        assert CODEGEN_VERSION >= 1
-
-    def test_memory_cache_hit_on_second_bind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
-        g, wbg = small_instance()
-        m1 = native_machine()
-        bind_sssp(m1, g, wbg)
-        assert m1.stats.native.kernel_compiles == 1
-        m2 = native_machine()
-        bind_sssp(m2, g, wbg)
-        assert m2.stats.native.kernel_compiles == 0
-        assert m2.stats.native.kernel_cache_hits == 1
-
-    def test_disk_cache_survives_memory_clear(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        clear_memory_cache()
-        g, wbg = small_instance()
-        m1 = native_machine()
-        _, d1 = run_sssp(m1, g, wbg)
-        assert m1.stats.native.kernel_compiles == 1
-        files = list(tmp_path.glob("rk_*.py"))
-        assert len(files) == 1  # one generated module persisted
-        clear_memory_cache()  # simulate a fresh process
-        m2 = native_machine()
-        _, d2 = run_sssp(m2, g, wbg)
-        assert m2.stats.native.kernel_compiles == 0
-        assert m2.stats.native.disk_cache_hits == 1
-        assert np.array_equal(d1, d2)
-
-    def test_cache_off_disables_disk(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
-        g, wbg = small_instance()
-        bind_sssp(native_machine(), g, wbg)
-        assert not list(tmp_path.glob("rk_*.py"))
-
-
-# ---------------------------------------------------------------------------
-# backend resolution and graceful degradation
+# the retired native_backend keyword
 # ---------------------------------------------------------------------------
 
 
 class TestBackendResolution:
-    def test_interp_backend_runs_without_numba(self):
-        m = native_machine()
+    @pytest.mark.parametrize("backend", [None, "interp"])
+    def test_accepted_backends_bind_fused(self, backend):
+        g, wbg = small_instance()
+        m = Machine(2, fast_path="native", native_backend=backend)
         assert m.fast_path == "native"
-        assert m.native_backend == "interp"
+        assert not hasattr(m, "native_backend")
+        assert bind_sssp(m, g, wbg)["relax"]._fused
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "interp")
-        m = Machine(2, fast_path="native")
-        assert m.fast_path == "native"
-        assert m.native_backend == "interp"
+    @pytest.mark.parametrize("backend", ["jit", "auto"])
+    def test_removed_backends_rejected(self, backend):
+        with pytest.raises(ValueError, match="was removed"):
+            Machine(2, fast_path="native", native_backend=backend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="native_backend"):
@@ -232,46 +120,16 @@ class TestBackendResolution:
 
     def test_native_in_fast_paths(self):
         assert "native" in FAST_PATHS
-        assert NATIVE_BACKENDS == ("auto", "jit", "interp")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_auto_without_numba_degrades_to_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BACKEND", raising=False)
-        _reset_native_warning()
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            m = Machine(2, fast_path="native")
-        assert m.fast_path == "vector"
-        assert m.requested_fast_path == "native"
-        assert m.stats.native.fallbacks == 1
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_degradation_warns_once(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BACKEND", raising=False)
-        _reset_native_warning()
-        with pytest.warns(RuntimeWarning):
-            Machine(2, fast_path="native")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            m = Machine(2, fast_path="native")
-        assert m.fast_path == "vector"
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_jit_without_numba_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BACKEND", raising=False)
-        with pytest.raises(RuntimeError, match="native"):
-            Machine(2, fast_path="native", native_backend="jit")
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jit_backend_with_numba(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        clear_memory_cache()
+    def test_plain_native_machine_fuses(self):
+        """No keyword, no environment: "native" fuses on every host."""
         g, wbg = small_instance()
-        m = Machine(2, fast_path="native", native_backend="jit")
-        assert m.fast_path == "native" and m.native_backend == "jit"
-        _, d = run_sssp(m, g, wbg)
-        m_off = Machine(2, fast_path="off")
-        _, d0 = run_sssp(m_off, g, wbg)
-        assert np.array_equal(d, d0)
+        m = Machine(2, fast_path="native")
+        _, dist = run_sssp(m, g, wbg)
+        assert m.fast_path == "native"
+        assert m.stats.native.fused_rounds > 0
+        _, d0 = run_sssp(Machine(2, fast_path="off"), g, wbg)
+        assert np.array_equal(dist, d0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +138,21 @@ class TestBackendResolution:
 
 
 class TestExecutorIntegration:
-    def test_fused_rounds_and_counters(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
+    def test_fused_rounds_and_counters(self):
         g, wbg = small_instance()
         m = native_machine()
         bp, dist = run_sssp(m, g, wbg)
-        assert bp["relax"].native_plan is not None
-        assert bp["relax"].native_plan.fused
+        assert bp["relax"]._fused
         st = m.stats.native
         assert st.fused_rounds > 0
         assert st.fused_edges > 0  # rank-local edges applied with 0 messages
         assert st.remote_rows > 0  # cross-rank rows still travel the wire
         assert st.fallbacks == 0
-        assert st.jit_seconds > 0.0
         m_off = Machine(2, fast_path="off")
         _, d0 = run_sssp(m_off, g, wbg)
         assert np.array_equal(dist, d0)
 
-    def test_single_rank_fused_sends_nothing_remote(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "off")
-        clear_memory_cache()
+    def test_single_rank_fused_sends_nothing_remote(self):
         n = 30
         s, t = path(n)
         g, wbg = build_graph(
@@ -316,7 +168,7 @@ class TestExecutorIntegration:
         m = native_machine()
         g, _ = build_graph(12, [(0, 1)], n_ranks=2)
         bp = bind(make_jump_pattern(), m, g)
-        assert bp["jump"].native_plan is None
+        assert bp["jump"].vector_plan is None and not bp["jump"]._fused
         assert m.stats.native.fallbacks == 1
         # still runs correctly on the compiled walk
         pm = bp.map("prnt")
@@ -329,8 +181,33 @@ class TestExecutorIntegration:
                     jump.invoke(ep, v)
         assert pm.to_array().tolist() == [0] * 12
 
+    def test_scatter_kernel_is_extremum_update(self):
+        g, wbg = small_instance()
+        dist = bind_sssp(native_machine(), g, wbg).map("dist")
+        arr = dist.local_slice(0)
+        arr[:3] = [5.0, 2.0, 9.0]
+        changed = dist.scatter_extremum(
+            0, np.array([0, 0, 2]), np.array([3.0, 4.0, 11.0]), minimize=True
+        )
+        assert arr[:3].tolist() == [3.0, 2.0, 9.0]  # min kept, 11 rejected
+        # mask: target ended below this row's pre-round read (rows 0 and 1
+        # both observe vertex 0 improve; the dependent set is their union)
+        assert changed.tolist() == [True, True, False]
+
+    def test_payload_columns_match_scalar_payload_layout(self):
+        g, wbg = small_instance()
+        vp = bind_sssp(native_machine(), g, wbg)["relax"].vector_plan
+        dests = np.array([7, 9])
+        cols = [np.array([1.5, 2.5])]
+        rows = list(WireBatch(vp.payload_columns(dests, cols), 2))
+        (slot,) = vp.slot_sig
+        assert rows == [
+            (7, 0, vp.eval_si, slot, 1.5),
+            (9, 0, vp.eval_si, slot, 2.5),
+        ]
+
     def test_native_report_section(self):
         m = native_machine()
         g, wbg = small_instance()
         run_sssp(m, g, wbg)
-        assert "native kernels" in m.stats.report()
+        assert "native fusion" in m.stats.report()

@@ -187,8 +187,7 @@ class TestFusedTraceFidelity:
         # the planner proves fusion and drops one round from the count
         assert plan.static_message_count() == 1
         assert plan.static_message_count(fused=True) == 0
-        assert bp["relax"].native_plan is not None
-        assert bp["relax"].native_plan.fused
+        assert bp["relax"]._fused
         assert m.stats.native.fused_rounds > 0
         # live: only the driver's invoke message remains
         assert self.msgs_per_trace(m) == plan.static_message_count(fused=True) + 1

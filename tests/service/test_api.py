@@ -4,6 +4,7 @@ ephemeral-port lifecycle shared with the observability server."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.algorithms import sssp_fixed_point
 from repro.analysis import scrape
 from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.service import GraphEngine, ServiceServer
+from repro.service.api import MAX_BODY_BYTES
 
 
 def instance(n=40, m=130, seed=3, n_ranks=4):
@@ -36,6 +38,26 @@ def served():
 
 def post_job(url, algorithm, params):
     return scrape(url + "/jobs", data={"algorithm": algorithm, "params": params})
+
+
+def raw_post(url, content_length):
+    """POST /jobs with a hand-written ``Content-Length`` and no body.
+
+    The socket stays open after the request, so a server that tries to
+    read the declared length blocks; the short timeout turns that into a
+    test failure instead of a hung suite.
+    """
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=3) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        data = b""
+        while chunk := sock.recv(4096):  # the server closes after replying
+            data += chunk
+    head, _, payload = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), payload.decode()
 
 
 class TestConcurrentSubmissions:
@@ -132,6 +154,17 @@ class TestRoutesAndStatusCodes:
         with pytest.raises(HTTPError) as exc_info:
             urlopen(req, timeout=5)
         assert exc_info.value.code == 400
+
+    def test_negative_content_length_is_400(self, served):
+        url, _, _, _ = served
+        status, body = raw_post(url, "-1")
+        assert status == 400 and "negative Content-Length" in body
+
+    def test_oversized_content_length_is_413(self, served):
+        url, eng, _, _ = served
+        status, body = raw_post(url, str(MAX_BODY_BYTES + 1))
+        assert status == 413 and str(MAX_BODY_BYTES) in body
+        assert eng.stats_snapshot()["service"]["jobs_submitted"] == 0
 
     def test_full_queue_is_429(self, served):
         url, eng, _, _ = served
