@@ -13,8 +13,7 @@
 
 import numpy as np
 
-from _common import er_weighted, write_result
-from repro import Machine
+from _common import er_weighted, paper_machine, write_result
 from repro.algorithms import bind_sssp, dijkstra_on_graph
 from repro.analysis import format_table
 from repro.graph import build_graph, path, uniform_weights
@@ -29,7 +28,7 @@ def test_a1_scheduler_policy(benchmark):
     finite = np.isfinite(oracle)
 
     def run(schedule):
-        m = Machine(4, schedule=schedule, seed=9)
+        m = paper_machine(4, schedule=schedule, seed=9)
         bp = bind_sssp(m, g, wg)
         bp.map("dist")[0] = 0.0
         fixed_point(m, bp["relax"], [0])
@@ -65,7 +64,7 @@ def test_a1_partition_policy(benchmark):
         g, wg = build_graph(
             n, list(zip(s, t)), weights=w, n_ranks=8, partition=partition
         )
-        m = Machine(8)
+        m = paper_machine(8)
         bp = bind_sssp(m, g, wg)
         bp.map("dist")[0] = 0.0
         fixed_point(m, bp["relax"], [0])
@@ -118,7 +117,7 @@ def test_a1_planning_mode_executed(benchmark):
     g, _ = build_graph(n, [(0, 0)], n_ranks=8, partition="cyclic")
 
     def run(mode):
-        m = Machine(8)
+        m = paper_machine(8)
         bp = bind(p, m, g, mode=mode)
         rng = np.random.default_rng(17)
         for name in ("a", "b", "nxt"):

@@ -10,8 +10,7 @@ the per-rank neighbour set shrinks from p-1 to log2(p).
 
 import numpy as np
 
-from _common import write_result
-from repro import Machine
+from _common import paper_machine, write_result
 from repro.algorithms import sssp_fixed_point
 from repro.analysis import MessageTracer, format_table
 from repro.graph import build_graph, erdos_renyi, uniform_weights
@@ -24,7 +23,7 @@ def run(n_ranks, routing, n=128, deg=6, seed=18):
         n, list(zip(src.tolist(), trg.tolist())), weights=w,
         n_ranks=n_ranks, partition="cyclic",
     )
-    m = Machine(n_ranks, routing=routing)
+    m = paper_machine(n_ranks, routing=routing)
     tracer = MessageTracer.install(m)
     dist = sssp_fixed_point(m, g, wg, 0)
     conn = {}

@@ -14,8 +14,8 @@ DESIGN.md).
 
 import numpy as np
 
-from _common import write_result
-from repro import LockMap, Machine
+from _common import paper_machine, write_result
+from repro import LockMap
 from repro.algorithms import bind_sssp, dijkstra_on_graph
 from repro.analysis import format_table
 from repro.graph import build_graph, erdos_renyi, uniform_weights
@@ -29,7 +29,7 @@ def make_graph(n=96, deg=5, seed=19, n_ranks=3):
 
 
 def run(g, wg, block_size):
-    m = Machine(3, transport="threads", threads_per_rank=3)
+    m = paper_machine(3, transport="threads", threads_per_rank=3)
     try:
         lm = LockMap.per_block(g.n_vertices, block_size)
         bp = bind_sssp(m, g, wg)

@@ -9,15 +9,14 @@ and handler work stay constant — the mechanism behind AM++'s claim.
 
 import numpy as np
 
-from _common import er_weighted, write_result
-from repro import Machine
+from _common import er_weighted, paper_machine, write_result
 from repro.algorithms import bind_sssp, dijkstra_on_graph
 from repro.analysis import format_table
 from repro.strategies import fixed_point
 
 
 def run_sssp_with_buffer(g, wg, buffer_size):
-    m = Machine(4)
+    m = paper_machine(4)
     layers = {"relax": {"coalescing": buffer_size}} if buffer_size else None
     bp = bind_sssp(m, g, wg, layers=layers)
     bp.map("dist")[0] = 0.0

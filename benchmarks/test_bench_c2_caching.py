@@ -14,8 +14,8 @@ Regenerated series:
 
 import numpy as np
 
-from _common import er_weighted, write_result
-from repro import CachingLayer, Machine, ReductionLayer
+from _common import er_weighted, paper_machine, write_result
+from repro import CachingLayer, ReductionLayer
 from repro.algorithms import bind_sssp, dijkstra_on_graph
 from repro.analysis import format_table
 from repro.graph import build_graph, erdos_renyi
@@ -25,7 +25,7 @@ from repro.algorithms.cc import cc_label_pattern
 
 
 def run_cc_label(g, with_cache):
-    m = Machine(4)
+    m = paper_machine(4)
     # Cache only the evaluate-hop payloads (they carry the label, so equal
     # payloads are genuinely redundant); action (re)starts — identical
     # 3-tuples whose repetition is meaningful — bypass the cache.
@@ -81,7 +81,7 @@ def test_c2_min_reduction_on_sssp(benchmark):
     finite = np.isfinite(oracle)
 
     def run(with_reduction):
-        m = Machine(4)
+        m = paper_machine(4)
         layers = None
         if with_reduction:
             # Relax payloads are (dest, cond, step, slot, folded_sum) for the

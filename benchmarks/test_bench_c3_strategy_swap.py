@@ -9,15 +9,14 @@ that scheduling is swappable while the declarative core is shared.
 
 import numpy as np
 
-from _common import er_weighted, write_result
-from repro import Machine
+from _common import er_weighted, paper_machine, write_result
 from repro.algorithms import bind_sssp, dijkstra_on_graph
 from repro.analysis import format_table
 from repro.strategies import delta_stepping, fixed_point, once
 
 
 def run_strategy(g, wg, name):
-    m = Machine(4)
+    m = paper_machine(4)
     bp = bind_sssp(m, g, wg)
     dist = bp.map("dist")
     dist[0] = 0.0

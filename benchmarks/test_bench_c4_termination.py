@@ -10,15 +10,14 @@ semantics (identical results and application message counts).
 
 import numpy as np
 
-from _common import er_weighted, write_result
-from repro import Machine
+from _common import er_weighted, paper_machine, write_result
 from repro.algorithms import bind_sssp, dijkstra_on_graph
 from repro.analysis import format_table
 from repro.strategies import fixed_point
 
 
 def run_with_detector(g, wg, detector, n_ranks=4):
-    m = Machine(n_ranks, detector=detector)
+    m = paper_machine(n_ranks, detector=detector)
     bp = bind_sssp(m, g, wg)
     bp.map("dist")[0] = 0.0
     fixed_point(m, bp["relax"], [0])

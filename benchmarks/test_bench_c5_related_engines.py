@@ -14,8 +14,7 @@ graphs.  Qualitative shapes the paper's related-work section implies:
 
 import numpy as np
 
-from _common import er_weighted, er_undirected, write_result
-from repro import Machine
+from _common import er_undirected, er_weighted, paper_machine, write_result
 from repro.algorithms import connected_components, dijkstra_on_graph, sssp_fixed_point
 from repro.analysis import distances_match, format_table
 from repro.baselines import (
@@ -32,11 +31,11 @@ def test_c5_sssp_across_engines(benchmark):
     g, wg = er_weighted(n=256, avg_deg=6, seed=9)
     oracle = dijkstra_on_graph(g, wg, 0)
 
-    m = Machine(4)
+    m = paper_machine(4)
     d_pat = benchmark.pedantic(
-        lambda: sssp_fixed_point(Machine(4), g, wg, 0), rounds=3, iterations=1
+        lambda: sssp_fixed_point(paper_machine(4), g, wg, 0), rounds=3, iterations=1
     )
-    m_pat = Machine(4)
+    m_pat = paper_machine(4)
     d_pat = sssp_fixed_point(m_pat, g, wg, 0)
     d_pregel, eng_pregel = pregel_sssp(g, wg, 0)
     d_gl, eng_gl = graphlab_sssp(g, wg, 0)
@@ -79,7 +78,7 @@ def test_c5_cc_across_engines(benchmark):
     oracle = union_find_cc(200, np.concatenate([s, t]), np.concatenate([t, s]))
 
     def run_patterns():
-        m = Machine(4)
+        m = paper_machine(4)
         comp = connected_components(m, g, flush_budget=4)
         return comp, m
 

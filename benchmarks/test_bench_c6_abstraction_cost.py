@@ -21,9 +21,8 @@ import time
 
 import numpy as np
 
-from _common import er_weighted, er_undirected, write_result
-from repro.runtime.machine import FAST_PATHS
-from repro import Machine
+from _common import er_undirected, er_weighted, paper_machine, write_result
+from repro.runtime.machine import FAST_PATHS, Machine
 from repro.algorithms import (
     bfs_fixed_point,
     bfs_handwritten,
@@ -40,22 +39,22 @@ def test_c6_abstraction_cost(benchmark):
     g, wg = er_weighted(n=256, avg_deg=6, seed=11)
     gu, s, t = er_undirected(n=200, m=400, seed=12)
 
-    m_pat = Machine(4)
+    m_pat = paper_machine(4)
     d_pat = benchmark.pedantic(
-        lambda: sssp_fixed_point(Machine(4), g, wg, 0), rounds=3, iterations=1
+        lambda: sssp_fixed_point(paper_machine(4), g, wg, 0), rounds=3, iterations=1
     )
-    m_pat = Machine(4)
+    m_pat = paper_machine(4)
     d_pat = sssp_fixed_point(m_pat, g, wg, 0)
-    m_hw = Machine(4)
+    m_hw = paper_machine(4)
     d_hw = sssp_handwritten(m_hw, g, wg, 0)
     assert distances_match(d_pat, d_hw)
 
-    mb_pat, mb_hw = Machine(4), Machine(4)
+    mb_pat, mb_hw = paper_machine(4), paper_machine(4)
     b_pat = bfs_fixed_point(mb_pat, g, 0)
     b_hw = bfs_handwritten(mb_hw, g, 0)
     assert distances_match(b_pat, b_hw)
 
-    mc_pat, mc_hw = Machine(4), Machine(4)
+    mc_pat, mc_hw = paper_machine(4), paper_machine(4)
     c_pat = cc_label_propagation(mc_pat, gu)
     c_hw = cc_handwritten(mc_hw, gu)
     assert same_partition(c_pat, c_hw)

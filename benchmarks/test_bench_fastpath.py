@@ -1,18 +1,21 @@
 """Fast-path bench — interpreted vs compiled vs vectorized execution.
 
-DESIGN.md Sec. 6: the interpreted plan walk (``fast_path="off"``) is the
-semantic oracle; compiling the plan to closures and batching recognizable
-shapes into numpy kernels must change *nothing* about the answer while
-removing interpreter overhead from the hot path.
+DESIGN.md Secs. 6-7: the interpreted plan walk (``fast_path="off"``) is
+the semantic oracle; compiling the plan to closures, batching recognizable
+shapes into numpy kernels and fusing the gather->evaluate round where the
+planner proves it legal must change *nothing* about the answer while
+removing interpreter overhead and messages from the hot path.
 
 Workload: Δ-stepping SSSP over a Graph500-style R-MAT graph at scale 10
 (the skewed-degree regime where coalesced envelopes get big enough for
-the batch kernel to pay off).  Acceptance floor asserted here and
-recorded machine-readably in ``results/BENCH_fastpath.json``: the
-vectorized path is ≥ 3× faster than the interpreted path, with
-bit-identical distance arrays across all three modes.
+the batch kernel to pay off).  Asserted here and recorded
+machine-readably in ``results/BENCH_fastpath.json``: the vector tier is
+≥ 3× faster than the interpreted path, its fusion fired, distance arrays
+are bit-identical across all three modes, and each row's absolute
+traversed edges/s.
 """
 
+import dataclasses
 import platform
 import time
 
@@ -33,8 +36,9 @@ SPEEDUP_FLOOR = 3.0
 
 
 def _run(fast_path, g, wbg):
-    """Best-of-ROUNDS wall clock; returns (seconds, dist, stats summary)."""
-    best, dist, summary = float("inf"), None, None
+    """Best-of-ROUNDS wall clock; returns (seconds, dist, stats summary,
+    fusion counters)."""
+    best, dist, summary, fusion = float("inf"), None, None, None
     for _ in range(ROUNDS):
         m = Machine(4, fast_path=fast_path)
         t0 = time.perf_counter()
@@ -42,8 +46,8 @@ def _run(fast_path, g, wbg):
             m, g, wbg, 0, DELTA, layers={"relax": {"coalescing": COALESCING}}
         )
         best = min(best, time.perf_counter() - t0)
-        summary = m.stats.summary()
-    return best, dist, summary
+        summary, fusion = m.stats.summary(), m.stats.fusion
+    return best, dist, summary, fusion
 
 
 def test_fastpath_speedup(benchmark):
@@ -52,15 +56,22 @@ def test_fastpath_speedup(benchmark):
         lambda: _run("vector", g, wbg), rounds=1, iterations=1
     )
 
-    times, dists, summaries = {}, {}, {}
+    times, dists, summaries, fusion = {}, {}, {}, {}
     for fp in FAST_PATHS:
-        times[fp], dists[fp], summaries[fp] = _run(fp, g, wbg)
+        times[fp], dists[fp], summaries[fp], fusion[fp] = _run(fp, g, wbg)
 
     # correctness: every mode computes the exact same distances
     for fp in FAST_PATHS[1:]:
         assert np.array_equal(dists["off"], dists[fp]), f"off vs {fp} diverged"
-    # the batch kernel actually fired
+    # the batch kernel and the fused round actually fired, on vector only
     assert summaries["vector"]["vector_items"] > 0
+    assert fusion["vector"].fused_rounds > 0 and fusion["vector"].fused_edges > 0
+    assert fusion["compiled"].fused_rounds == 0
+    # absolute throughput: out-edges of every vertex the search reached
+    s, _t = g.edge_arrays()
+    out_degree = np.bincount(s, minlength=g.n_vertices)
+    traversed = int(out_degree[np.isfinite(dists["off"])].sum())
+    edges_per_s = {fp: round(traversed / times[fp]) for fp in FAST_PATHS}
 
     speedup_vector = times["off"] / times["vector"]
     speedup_compiled = times["off"] / times["compiled"]
@@ -74,8 +85,11 @@ def test_fastpath_speedup(benchmark):
             "fast_path": fp,
             "seconds": round(times[fp], 4),
             "speedup_vs_off": round(times["off"] / times[fp], 2),
-            "vector_items": summaries[fp].get("vector_items", 0),
-            "batch_deliveries": summaries[fp].get("batch_deliveries", 0),
+            "edges_per_s": edges_per_s[fp],
+            "handled": summaries[fp]["handler_calls"],
+            "vector_items": summaries[fp]["vector_items"],
+            "batch_deliveries": summaries[fp]["batch_deliveries"],
+            "fused_edges": fusion[fp].fused_edges,
         }
         for fp in FAST_PATHS
     ]
@@ -83,8 +97,9 @@ def test_fastpath_speedup(benchmark):
         "BENCH_fastpath",
         f"Fast paths — Δ-stepping SSSP, R-MAT scale {SCALE} (best of {ROUNDS})",
         format_table(rows)
-        + f"\nvectorized {speedup_vector:.2f}x over interpreted "
-        f"(floor {SPEEDUP_FLOOR}x); identical distances in all modes",
+        + f"\nvector {speedup_vector:.2f}x over interpreted "
+        f"(floor {SPEEDUP_FLOOR}x), {traversed} traversed edges; "
+        "identical distances in all modes",
     )
     write_json(
         "BENCH_fastpath",
@@ -107,7 +122,11 @@ def test_fastpath_speedup(benchmark):
                 "vector": round(speedup_vector, 3),
             },
             "speedup_floor": SPEEDUP_FLOOR,
+            "traversed_edges": traversed,
+            "edges_per_s": edges_per_s,
+            "handler_calls": {fp: summaries[fp]["handler_calls"] for fp in FAST_PATHS},
             "vector_items": int(summaries["vector"]["vector_items"]),
+            "fusion": dataclasses.asdict(fusion["vector"]),
             "identical_outputs": True,
             "python": platform.python_version(),
         },

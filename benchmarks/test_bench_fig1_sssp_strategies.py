@@ -10,8 +10,7 @@ result.
 
 import numpy as np
 
-from _common import er_weighted, rmat_weighted, write_result
-from repro import Machine
+from _common import er_weighted, paper_machine, rmat_weighted, write_result
 from repro.algorithms import (
     dijkstra_on_graph,
     sssp_delta_stepping,
@@ -21,9 +20,9 @@ from repro.analysis import format_table
 
 
 def run_pair(g, wg, source, delta):
-    m_fp = Machine(4)
+    m_fp = paper_machine(4)
     d_fp = sssp_fixed_point(m_fp, g, wg, source)
-    m_d = Machine(4)
+    m_d = paper_machine(4)
     d_d = sssp_delta_stepping(m_d, g, wg, source, delta)
     assert np.allclose(d_fp, d_d, equal_nan=False) or (
         np.isinf(d_fp) == np.isinf(d_d)
@@ -77,13 +76,13 @@ def test_fig1_light_heavy_split(benchmark):
     delta = 3.0
 
     d_lh, info = benchmark.pedantic(
-        lambda: delta_stepping_light_heavy(Machine(4), g, wg, [0], delta),
+        lambda: delta_stepping_light_heavy(paper_machine(4), g, wg, [0], delta),
         rounds=3,
         iterations=1,
     )
     assert np.allclose(d_lh[finite], oracle[finite])
 
-    m_plain = Machine(4)
+    m_plain = paper_machine(4)
     d_plain = sssp_delta_stepping(m_plain, g, wg, 0, delta)
     assert np.allclose(d_plain[finite], oracle[finite])
 
@@ -115,7 +114,7 @@ def test_fig1_rmat_strategies(benchmark):
     oracle = dijkstra_on_graph(g, wg, source)
 
     def workload():
-        m = Machine(4)
+        m = paper_machine(4)
         return sssp_delta_stepping(m, g, wg, source, 3.0), m
 
     d, m = benchmark.pedantic(workload, rounds=3, iterations=1)

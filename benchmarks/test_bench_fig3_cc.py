@@ -9,8 +9,7 @@ collisions and more pointer-jumping work, while the result is invariant.
 
 import numpy as np
 
-from _common import er_undirected, write_result
-from repro import Machine
+from _common import er_undirected, paper_machine, write_result
 from repro.algorithms import connected_components
 from repro.analysis import format_table
 from repro.baselines import same_partition, union_find_cc
@@ -21,7 +20,7 @@ def test_fig3_parallel_search_cc(benchmark):
     oracle = union_find_cc(200, np.concatenate([s, t]), np.concatenate([t, s]))
 
     def run(budget):
-        m = Machine(4)
+        m = paper_machine(4)
         comp, det = connected_components(
             m, g, flush_budget=budget, return_details=True
         )

@@ -10,8 +10,7 @@ length, the property pointer jumping exists to provide.
 
 import numpy as np
 
-from _common import write_result
-from repro import Machine
+from _common import paper_machine, write_result
 from repro.algorithms import cc_pattern
 from repro.analysis import format_table
 from repro.graph import build_graph
@@ -48,7 +47,7 @@ def test_fig4_pointer_jumping_rounds(benchmark):
         # a conflict chain: chg[i] = i-1 for i in 1..chain_len
         n = chain_len + 1
         g, _ = build_graph(n, [(0, 0)], n_ranks=4, deduplicate=False)
-        m = Machine(4)
+        m = paper_machine(4)
         bp = bind(cc_pattern(), m, g)
         chg = bp.map("chg")
         for i in range(1, n):

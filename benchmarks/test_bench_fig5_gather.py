@@ -14,8 +14,7 @@ a distinct rank, confirming the synthesized communication really sends
 that many remote messages.
 """
 
-from _common import write_result
-from repro import Machine
+from _common import paper_machine, write_result
 from repro.analysis import format_table
 from repro.graph import build_graph
 from repro.patterns import Pattern, bind, compile_action
@@ -76,7 +75,7 @@ def test_fig5_execution_matches_static_count(benchmark):
     g, _ = build_graph(n, [(0, 0)], n_ranks=7, partition="cyclic")
 
     def run(mode):
-        m = Machine(7, schedule="fifo")
+        m = paper_machine(7, schedule="fifo")
         bp = bind(p, m, g, mode=mode)
         for name, value in (
             ("pa", {0: 1, 5: 6}),

@@ -16,8 +16,7 @@ Regenerated and asserted:
   remote message whose payload carries exactly one environment value.
 """
 
-from _common import write_result
-from repro import Machine
+from _common import paper_machine, write_result
 from repro.algorithms import sssp_pattern
 from repro.graph import build_graph
 from repro.patterns import bind, compile_action
@@ -52,7 +51,7 @@ def test_fig6_execution_one_remote_message(benchmark):
     g, w = build_graph(2, [(0, 1)], weights=[4.0], n_ranks=2)
 
     def run():
-        m = Machine(2)
+        m = paper_machine(2)
         bp = bind(
             sssp_pattern(), m, g, props={"weight": weight_map_from_array(g, w)}
         )

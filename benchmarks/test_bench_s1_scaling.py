@@ -15,15 +15,14 @@ Expected shapes:
 
 import numpy as np
 
-from _common import rmat_weighted, write_result
-from repro import Machine
+from _common import paper_machine, rmat_weighted, write_result
 from repro.algorithms import bind_sssp
 from repro.analysis import format_table
 from repro.strategies import fixed_point
 
 
 def run_sssp(g, wg, n_ranks):
-    m = Machine(n_ranks)
+    m = paper_machine(n_ranks)
     bp = bind_sssp(m, g, wg)
     # R-MAT permutes ids; pick a well-connected source so the traversal
     # actually covers the big component

@@ -8,8 +8,7 @@ and the level count, which grows slowly (small-world diameter).
 
 import numpy as np
 
-from _common import write_result
-from repro import Machine
+from _common import paper_machine, write_result
 from repro.algorithms import run_graph500
 from repro.analysis import format_table
 from repro.graph import build_graph, rmat
@@ -27,14 +26,14 @@ def make_rmat(scale, edge_factor=8, seed=23, n_ranks=4):
 def test_s2_graph500_kernel2(benchmark):
     g8 = make_rmat(8)
     benchmark.pedantic(
-        lambda: run_graph500(lambda: Machine(4), g8, n_roots=2, seed=3),
+        lambda: run_graph500(lambda: paper_machine(4), g8, n_roots=2, seed=3),
         rounds=3,
         iterations=1,
     )
     rows = []
     for scale in (6, 7, 8, 9):
         g = make_rmat(scale)
-        result = run_graph500(lambda: Machine(4), g, n_roots=3, seed=scale)
+        result = run_graph500(lambda: paper_machine(4), g, n_roots=3, seed=scale)
         mean_levels = float(np.mean([r["levels"] for r in result["runs"]]))
         mean_work = float(np.mean([r["handler_calls"] for r in result["runs"]]))
         rows.append(

@@ -301,12 +301,12 @@ def to_prometheus(machine) -> str:
         f"{stats.checkpoint.dirty_fraction:.9f}",
     )
 
-    # -- native fusion tier (reflective over NativeStats) --------------------
-    for fld in dataclasses.fields(stats.native):
-        metric = f"repro_native_{fld.name}"
+    # -- vector-tier fusion (reflective over FusionStats) --------------------
+    for fld in dataclasses.fields(stats.fusion):
+        metric = f"repro_fusion_{fld.name}"
         kind = "counter" if fld.type in ("int", int) else "gauge"
-        w.declare(metric, kind, f"NativeStats.{fld.name}")
-        value = getattr(stats.native, fld.name)
+        w.declare(metric, kind, f"FusionStats.{fld.name}")
+        value = getattr(stats.fusion, fld.name)
         w.sample(metric, {}, f"{value:.9f}" if isinstance(value, float) else value)
 
     # -- partition quality (reflective over PartitionStats) ------------------

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import Machine
-from .runtime.machine import FAST_PATHS
+from .runtime.machine import DEFAULT_FAST_PATH, FAST_PATHS
 from .analysis import collect_report, format_table
 from .graph import (
     barabasi_albert,
@@ -101,7 +101,7 @@ def _machine(args) -> Machine:
     machine = Machine(
         n_ranks=args.ranks,
         transport=getattr(args, "transport", "sim"),
-        fast_path=getattr(args, "fast_path", "off"),
+        fast_path=getattr(args, "fast_path", DEFAULT_FAST_PATH),
         schedule=args.schedule,
         seed=args.seed,
         detector=args.detector,
@@ -641,10 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--fast-path",
             choices=list(FAST_PATHS),
-            default="off",
-            help="execution tier: interpreted walk, bind-time compiled "
-            "closures, numpy batch kernels, or native = vector + proven "
-            "fusion of rank-local rounds",
+            default=DEFAULT_FAST_PATH,
+            help="execution tier: interpreted walk (the oracle), bind-time "
+            "compiled closures, or numpy batch kernels with proven fusion "
+            "of rank-local rounds (default: %(default)s)",
         )
         p.add_argument(
             "--partition",

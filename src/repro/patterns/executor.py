@@ -20,8 +20,8 @@ Dependency detection (Sec. IV-C): when an action both reads and writes a
 property map, any actual change of that map's value marks the written
 vertex dependent and calls the action's ``work`` hook — the customization
 point strategies use (``fixed_point`` re-runs the action, Delta-stepping
-re-buckets the vertex).  The vector/native tiers discover dependents one
-envelope at a time and hand the whole array to ``work_many``.
+re-buckets the vertex).  The vector tier discovers dependents one envelope
+at a time and hands the whole array to ``work_many``.
 """
 
 from __future__ import annotations
@@ -164,21 +164,20 @@ class BoundAction:
         # "compiled": per-step closures compiled once, bit-identical
         # payloads/statistics/values to the interpreted walk.
         # "vector": additionally, recognizable plan shapes get a numpy
-        # batch kernel installed as the message type's batch handler.
-        # "native": "vector" plus gather->evaluate fusion where the planner
-        # proves it legal (locality.fusion_report): rank-local edges are
-        # applied inline and remote rows are deduped before the wire.
-        # Unrecognized shapes fall back to the compiled walk as "vector".
+        # batch kernel installed as the message type's batch handler, fused
+        # across the gather->evaluate round where the planner proves it
+        # legal (locality.fusion_report): rank-local edges are applied
+        # inline and remote rows are deduped before the wire.  Recognized
+        # does not imply fusable (a src(e) candidate is not source-local).
+        # Unrecognized shapes fall back to the compiled walk.
         fp = bound.machine.fast_path
         self._compiled = compile_steps(self) if fp != "off" else None
         self._walk_fn = self._walk if self._compiled is None else self._walk_compiled
-        self.vector_plan = (
-            recognize_vector_shape(self) if fp in ("vector", "native") else None
-        )
+        self.vector_plan = recognize_vector_shape(self) if fp == "vector" else None
         self._fused = False
-        if fp == "native":
+        if fp == "vector":
             if self.vector_plan is None:
-                bound.machine.stats.count_native("fallbacks")
+                bound.machine.stats.count_fusion("fallbacks")
             else:
                 self._fused = fusion_report(plan).fusable
         # Bulk column sends may bypass the per-payload layer walk only when
@@ -541,7 +540,7 @@ class BoundAction:
                 return
             ci, si = nxt, 0
 
-    # -- tiers 2/3: columnar fan-out and batch delivery -------------------------------
+    # -- tier 2: columnar fan-out and batch delivery ----------------------------------
     def _fan_out(self, ctx, starts) -> None:
         """Multi-source generator fan-out for a recognized plan shape.
 
@@ -549,8 +548,8 @@ class BoundAction:
         column for every out-edge of every vertex in ``starts`` (the
         bind-time numpy closures over per-edge index arrays).  Rows whose
         eval step runs here are applied inline and are not messages:
-        self-loop arcs, as elision would, and — under ``fast_path="native"``
-        when the planner proved the gather -> evaluate pair fusable
+        self-loop arcs, as elision would, and — when the planner proved the
+        gather -> evaluate pair fusable
         (:func:`~repro.patterns.locality.fusion_report`) — every rank-local
         edge, the collapsed message round.  All other rows leave through
         :meth:`_send_columns`; counts and payload values match the scalar
@@ -570,14 +569,14 @@ class BoundAction:
         # The one address resolution of the fan-out.
         owners = self._owners(ctx.machine, targets)
         if fused:
-            stats.count_native("fused_rounds")
+            stats.count_fusion("fused_rounds")
             inline = owners == rank
         else:
             inline = targets == sources  # self-loops
         n_inline = int(np.count_nonzero(inline))
         if n_inline:
             if fused:
-                stats.count_native("fused_edges", n_inline)
+                stats.count_fusion("fused_edges", n_inline)
             self._apply_batch(ctx, targets[inline], cols[vp.cand_col][inline])
             if n_inline == total:
                 return
@@ -606,7 +605,7 @@ class BoundAction:
                     keep.sort()  # preserve generation order on the wire
                     targets, owners = targets[keep], owners[keep]
                     cols = [c[keep] for c in cols]
-            stats.count_native("remote_rows", len(targets))
+            stats.count_fusion("remote_rows", len(targets))
         batch = WireBatch(vp.payload_columns(targets, cols), len(targets))
         self._send_columns(ctx.machine, rank, batch, owners)
 
@@ -678,6 +677,7 @@ class BoundAction:
                 if tel.spans_on:
                     tel.annotate(starts=len(payloads))
                 self._fan_out(ctx, payloads.column(0))
+                ctx.stats.count_vector_items(self.mtype.name, len(payloads))
                 return
             if payloads.ncols == plen:
                 self._batch_handler_columnar(ctx, payloads, esi, sig, cand_pos)
@@ -700,12 +700,13 @@ class BoundAction:
             else:
                 rest.append(p)
         if tel.spans_on:
-            tel.annotate(vectorized=len(dests), fallback=len(rest) + len(starts))
+            tel.annotate(vectorized=len(dests), starts=len(starts), fallback=len(rest))
         if dests:
             self._apply_batch(ctx, dests, cands)
             ctx.stats.count_vector_items(self.mtype.name, len(dests))
         if starts:
             self._fan_out(ctx, starts)
+            ctx.stats.count_vector_items(self.mtype.name, len(starts))
         for p in rest:
             self._handler(ctx, p)
 

@@ -26,8 +26,8 @@ property-map backing arrays), the rows travel as column batches
 applied as one ``np.minimum.at``-style scatter, with dependent-vertex
 ``work`` hooks fired from the changed mask.  Plans outside the shape fall
 back to the scalar path; the machine's ``fast_path`` flag ("off" |
-"compiled" | "vector" | "native") keeps the interpreted path available as
-the correctness oracle.
+"compiled" | "vector") keeps the interpreted path available as the
+correctness oracle.
 
 Single-vertex consistency (paper Sec. IV-A merging) is preserved: the
 batch kernel takes every destination vertex's lock before mutating and a

@@ -208,14 +208,14 @@ class LocalityTree:
 
 
 # ---------------------------------------------------------------------------
-# Fusion legality (native fast path)
+# Fusion legality (vector fast path)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FusionReport:
     """Whether a plan's gather -> evaluate pair may be fused
-    (``fast_path="native"``), and why not when it may not.
+    (``fast_path="vector"``), and why not when it may not.
 
     Fusion executes the generator fan-out *and* the eval-step's
     compare-and-assign in a single pass at the source rank
@@ -279,7 +279,7 @@ def fusion_report(plan) -> FusionReport:
     """Structural fusion legality for an :class:`~repro.patterns.planner.ActionPlan`.
 
     This is the planner-level half of the decision (shape only); the
-    native tier additionally requires the bound property maps to be
+    vector tier additionally requires the bound property maps to be
     numeric (checked at bind time by the vector-shape recognizer).
     """
 

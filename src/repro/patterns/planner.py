@@ -173,7 +173,7 @@ class ActionPlan:
         """Worst-case messages for one straight-line run taking every
         condition's true branch (distinct-locality assumption).
 
-        With ``fused=True``, count as the native fast path executes when
+        With ``fused=True``, count as the vector fast path executes when
         :func:`~repro.patterns.locality.fusion_report` proves the
         gather -> evaluate pair fusable: the evaluate hop is performed
         inline at the source rank, so one message round disappears from

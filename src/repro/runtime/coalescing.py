@@ -95,7 +95,7 @@ class CoalescingLayer(Layer):
     def send_rows(self, src: int, dest: int, columns: WireBatch) -> None:
         """Bulk-append pre-admitted payload rows, held as columns.
 
-        The columnar entry point of the vector/native fan-out.  The buffer
+        The columnar entry point of the vector fan-out.  The buffer
         fills and flushes at exactly the boundaries ``columns.nrows``
         sequential :meth:`send` calls would produce, so logical send
         counts, flush counts and envelope contents are identical to the

@@ -30,8 +30,8 @@ Everything lands in :class:`HealthStats` — a plain dataclass on the
 :class:`~repro.runtime.stats.StatsRegistry` — so the reflective
 Prometheus exporter publishes every field as ``repro_health_*`` with no
 exporter changes, and the process transport ships worker-side counters
-home through the same sync-blob mechanism as :class:`NativeStats`.
-Like checkpoint/native stats, health counters are *excluded* from
+home through the same sync-blob mechanism as :class:`FusionStats`.
+Like checkpoint/fusion stats, health counters are *excluded* from
 ``summary()`` and ``checkpoint_state()``: observing a run must never
 change its logical accounting (the differential suites assert this).
 """

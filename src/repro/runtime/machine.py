@@ -52,7 +52,9 @@ from .threads import ThreadTransport
 from .transport import HandlerContext
 
 #: Valid values for ``Machine(fast_path=...)``.
-FAST_PATHS = ("off", "compiled", "vector", "native")
+FAST_PATHS = ("off", "compiled", "vector")
+#: The tier a machine runs when none is named (the CLI inherits it).
+DEFAULT_FAST_PATH = "vector"
 
 
 class Machine:
@@ -68,8 +70,7 @@ class Machine:
         threads_per_rank: int = 1,
         detector: str = "oracle",
         routing: str = "direct",
-        fast_path: str = "compiled",
-        native_backend: Optional[str] = None,
+        fast_path: str = DEFAULT_FAST_PATH,
         chaos: Optional[ChaosConfig] = None,
         reliable: Union[ReliableConfig, bool, None] = None,
         telemetry: Union[str, TelemetryConfig, None] = None,
@@ -82,24 +83,15 @@ class Machine:
             raise ValueError(
                 f"unknown fast_path {fast_path!r}; use one of {FAST_PATHS}"
             )
-        # ``native_backend`` survives only as a keyword for callers that
-        # still pass it: None and "interp" (numpy, the one implementation)
-        # are accepted and not stored; any other value names the removal.
-        if native_backend not in (None, "interp"):
-            raise ValueError(
-                f"native_backend={native_backend!r} was removed: "
-                "fast_path='native' is the vector tier plus proven fusion "
-                "and has no other backend"
-            )
         self.n_ranks = n_ranks
         #: Execution strategy for bound patterns: ``"off"`` walks the
         #: expression tree per message (reference semantics), ``"compiled"``
-        #: runs per-step closures compiled at bind() time, ``"vector"``
-        #: additionally installs numpy batch kernels for recognizable plan
-        #: shapes (falling back to the compiled walk otherwise), and
-        #: ``"native"`` is ``"vector"`` plus gather->evaluate fusion where
-        #: the planner proves it legal
-        #: (:func:`repro.patterns.locality.fusion_report`).
+        #: runs per-step closures compiled at bind() time, and ``"vector"``
+        #: (the default) additionally installs numpy batch kernels for
+        #: recognizable plan shapes, fused across the gather -> evaluate
+        #: message round wherever the planner proves it legal
+        #: (:func:`repro.patterns.locality.fusion_report`), falling back to
+        #: the compiled walk otherwise.
         self.fast_path = fast_path
         self.registry = MessageRegistry()
         self.resolver = AddressResolver(n_ranks)

@@ -155,7 +155,7 @@ class WireBatch:
     The coalescing layer flushes one when a buffer was filled by bulk
     column sends, the codec encodes and decodes one per ``KIND_BATCH``
     frame (decoded columns are zero-copy views over the frame), and the
-    vector/native batch handlers consume the columns directly.  It still
+    vector batch handlers consume the columns directly.  It still
     behaves like the tuple-of-tuples payload every other consumer expects:
     ``len``, iteration and integer indexing yield per-row tuples, which
     are only materialised when somebody asks for them.
@@ -189,7 +189,7 @@ class WireBatch:
     def columns(self, *indices: int) -> tuple:
         """Several columns at once as ndarrays (constants broadcast).
 
-        The columns feed the vector/native batch kernels directly —
+        The columns feed the vector batch kernels directly —
         per-row tuples are never materialized on this path.
         """
         return tuple(self.column(i) for i in indices)

@@ -78,9 +78,8 @@ class MultiSourceRunner:
             coalescing=coalescing,
         )
         # Mirror the pattern executor: the vectorized delivery path is a
-        # fast-path feature, and "native" machines get the same numpy
-        # scatter (native is the vector tier plus fusion).
-        if machine.fast_path in ("vector", "native"):
+        # vector-tier feature.
+        if machine.fast_path == "vector":
             self.mtype.batch_handler = self._batch_handler
 
     # -- handlers -----------------------------------------------------------

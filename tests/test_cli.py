@@ -197,13 +197,19 @@ class TestCheckpointRecoveryCLI:
     ARGS = ["sssp", "--n", "64", "--m", "200", "--delta", "3.0"]
 
     def test_crash_recovers_and_matches_plain_run(self, capsys):
+        """The answer matches a plain run; the stats row matches the same
+        configuration uninterrupted (a crash scheduled past the end).  A
+        crash config installs reliable delivery, whose acks share the sim
+        schedule, and the fused tier's accounting follows the schedule."""
         assert main(self.ARGS) == 0
         plain = capsys.readouterr().out
+        assert main([*self.ARGS, "--crash", "1:1000000"]) == 0
+        uninterrupted = capsys.readouterr().out
         assert main([*self.ARGS, "--crash", "1:40"]) == 0
         crashed = capsys.readouterr().out
         # headline result line and stats table are bit-identical
         assert plain.splitlines()[0] == crashed.splitlines()[0]
-        assert [l for l in plain.splitlines() if "sssp-delta" in l] == [
+        assert [l for l in uninterrupted.splitlines() if "sssp-delta" in l] == [
             l for l in crashed.splitlines() if "sssp-delta" in l
         ]
         assert "restores" in crashed  # checkpoint report printed
