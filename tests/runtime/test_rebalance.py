@@ -22,7 +22,8 @@ from repro.graph import (
 from repro.props.property_map import weight_map_from_array
 from repro.runtime import ChaosConfig
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.machine import FAST_PATHS
+
+from ..tiers import CELLS, tier
 
 
 def powerlaw(scale=7, edge_factor=6, seed=5, n_ranks=2, partition="block"):
@@ -83,12 +84,12 @@ class TestValidation:
 
 
 class TestBitIdenticalSim:
-    @pytest.mark.parametrize("fast_path", list(FAST_PATHS))
+    @pytest.mark.parametrize("fast_path", CELLS)
     def test_grow_mid_stream(self, fast_path):
         """Query, grow 2->4 with a degree partition, query again: both
         answers match the never-rebalanced oracle bit-for-bit."""
         g, wbg, ref = powerlaw()
-        m = Machine(2, fast_path=fast_path)
+        m = Machine(2, fast_path=tier(fast_path))
         d1 = sssp_fixed_point(m, g, wbg, 0)
         assert np.array_equal(d1, ref)
         q = m.rebalance(new_ranks=4, partitioner="degree")
