@@ -43,9 +43,12 @@ def bfs_fixed_point(
     *,
     mode: str = "optimized",
     layers: Optional[dict] = None,
+    bound: Optional[BoundPattern] = None,
 ) -> np.ndarray:
-    bp = bind(bfs_pattern(), machine, graph, mode=mode, layers=layers)
+    bp = bound or bind(bfs_pattern(), machine, graph, mode=mode, layers=layers)
     depth = bp.map("depth")
+    if bound is not None:
+        depth.fill(math.inf)  # a reused binding holds the last run's depths
     depth[source] = 0.0
     fixed_point(machine, bp["hop"], [source])
     return depth.to_array()

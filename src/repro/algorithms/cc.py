@@ -207,9 +207,10 @@ def cc_label_propagation(
     *,
     mode: str = "optimized",
     layers: Optional[dict] = None,
+    bound: Optional[BoundPattern] = None,
 ) -> np.ndarray:
     """CC by fixed-point min-label propagation (baseline/cross-check)."""
-    bp = bind(cc_label_pattern(), machine, graph, mode=mode, layers=layers)
+    bp = bound or bind(cc_label_pattern(), machine, graph, mode=mode, layers=layers)
     comp = bp.map("comp")
     for v in graph.vertices():
         comp[v] = v

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..graph.distributed import DistributedGraph
 from ..patterns import Pattern, bind, trg
+from ..patterns.executor import BoundPattern
 from ..runtime.machine import Machine
 
 
@@ -41,12 +42,13 @@ def pagerank(
     tol: Optional[float] = 1e-9,
     mode: str = "optimized",
     layers: Optional[dict] = None,
+    bound: Optional[BoundPattern] = None,
 ) -> np.ndarray:
     """Power-iteration PageRank; dangling mass redistributed uniformly."""
     n = graph.n_vertices
     if n == 0:
         return np.empty(0)
-    bp = bind(pagerank_pattern(), machine, graph, mode=mode, layers=layers)
+    bp = bound or bind(pagerank_pattern(), machine, graph, mode=mode, layers=layers)
     contrib, acc = bp.map("contrib"), bp.map("acc")
     scatter = bp["scatter"]
     scatter.work = None  # acc is write-only for the action; no dependencies

@@ -848,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_svc.add_argument(
         "--max-batch", type=int, default=16,
-        help="widest fused multi-source run the scheduler may build",
+        help="most same-family jobs the scheduler groups into one step",
     )
     p_svc.add_argument(
         "--no-batching", action="store_true",

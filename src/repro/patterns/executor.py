@@ -135,7 +135,7 @@ class BoundAction:
         #: the dependents one envelope discovered (an int64 array, all
         #: owned by ``ctx.rank``) in one call.  ``None`` = call ``work``
         #: per vertex.
-        self.work_many: Optional[WorkHook] = None
+        self._work_many: Optional[WorkHook] = None
         #: Count of property values actually changed by this action.
         self.change_count = 0
         #: Count of modification statements executed (even if value equal).
@@ -217,9 +217,19 @@ class BoundAction:
         self._work = hook
         self.work_many = None
 
+    @property
+    def work_many(self) -> Optional[WorkHook]:
+        return self._work_many
+
+    @work_many.setter
+    def work_many(self, hook: Optional[WorkHook]) -> None:
+        self._work_many = hook
+        # Forked workers decide at spawn which actions report dependents.
+        self.bound.machine.transport.hooks_changed()
+
     def fire_work(self, ctx, vertices: np.ndarray) -> None:
         """Hand one envelope's dependents to the installed hook."""
-        many = self.work_many
+        many = self._work_many
         if many is not None:
             many(ctx, vertices)
         elif self._work is not None:
@@ -869,6 +879,21 @@ class BoundPattern:
 
     def describe(self) -> str:
         return "\n\n".join(a.describe() for a in self.actions.values())
+
+
+def bind_once(machine: Machine, key: tuple, make: Callable[[], BoundPattern]) -> BoundPattern:
+    """The machine's binding for ``key``, made by ``make()`` on first use.
+
+    Later calls reuse the same registered actions and property maps, so
+    repeated runs neither grow the message registry nor re-adopt maps;
+    bound maps migrate with the graph across mutations and rebalances.
+    ``key`` should name everything the binding closes over (family,
+    graph, supplied maps, layer configuration).
+    """
+    bp = machine.bound_patterns.get(key)
+    if bp is None:
+        bp = machine.bound_patterns[key] = make()
+    return bp
 
 
 def bind(

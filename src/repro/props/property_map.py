@@ -34,27 +34,20 @@ class LocalityError(RuntimeError):
     """An access violated the owner-computes locality rule."""
 
 
-def _make_storage(n: int, dtype, default, width: Optional[int] = None):
+def _make_storage(n: int, dtype, default):
     if dtype is object or dtype == "object":
         # A callable default is a per-slot factory (mutable defaults such
         # as set() must not be shared between slots).
         if callable(default):
             return [default() for _ in range(n)]
         return [default] * n
-    arr = np.empty(n if width is None else (n, width), dtype=dtype)
+    arr = np.empty(n, dtype=dtype)
     arr[:] = default
     return arr
 
 
 class VertexPropertyMap:
-    """Distributed per-vertex values.
-
-    With ``width=K`` the map holds a fixed-length numeric row per vertex
-    (per-rank storage ``(rank_size, K)``): one column per concurrent
-    query in a fused multi-source run.  ``get``/``set`` then read/write
-    whole rows, and :meth:`scatter_extremum` applies the elementwise
-    extremum row-wise (``np.minimum.at`` on a 2-D array updates rows).
-    """
+    """Distributed per-vertex values."""
 
     def __init__(
         self,
@@ -64,21 +57,14 @@ class VertexPropertyMap:
         *,
         name: str = "vprop",
         strict: bool = False,
-        width: Optional[int] = None,
     ) -> None:
-        if width is not None:
-            if dtype is object or dtype == "object":
-                raise TypeError(f"{name}: multi-column maps must be numeric")
-            if width < 1:
-                raise ValueError(f"{name}: width must be >= 1, got {width}")
         self.graph = graph
         self.dtype = dtype
         self.default = default
         self.name = name
         self.strict = strict
-        self.width = width
         self._slices = [
-            _make_storage(graph.partition.rank_size(r), dtype, default, width)
+            _make_storage(graph.partition.rank_size(r), dtype, default)
             for r in range(graph.n_ranks)
         ]
         #: Optional :class:`~repro.runtime.checkpoint.DirtyTracker`
@@ -134,8 +120,6 @@ class VertexPropertyMap:
         """Gather all values into one global array/list ordered by vertex id."""
         if self.dtype is object or self.dtype == "object":
             out: list = [None] * self.graph.n_vertices
-        elif self.width is not None:
-            out = np.empty((self.graph.n_vertices, self.width), dtype=self.dtype)
         else:
             out = np.empty(self.graph.n_vertices, dtype=self.dtype)
         for r in range(self.graph.n_ranks):
@@ -176,7 +160,7 @@ class VertexPropertyMap:
         """Re-initialize one rank's storage to defaults (its memory is
         gone — used by crash recovery before a checkpoint restore)."""
         self._slices[rank] = _make_storage(
-            self.graph.partition.rank_size(rank), self.dtype, self.default, self.width
+            self.graph.partition.rank_size(rank), self.dtype, self.default
         )
         if self.dirty is not None:
             self.dirty.mark_all(rank)
@@ -247,8 +231,7 @@ class VertexPropertyMap:
         return self.graph.n_vertices
 
     def __repr__(self) -> str:  # pragma: no cover
-        w = "" if self.width is None else f", width={self.width}"
-        return f"VertexPropertyMap({self.name!r}, dtype={self.dtype}{w})"
+        return f"VertexPropertyMap({self.name!r}, dtype={self.dtype})"
 
 
 class EdgePropertyMap:

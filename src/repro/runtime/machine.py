@@ -119,6 +119,8 @@ class Machine:
         self.observer = None
         self._active_epoch: Optional[Epoch] = None
         self.graph = None  # set by attach_graph
+        #: Bindings reused across runs (:func:`repro.patterns.executor.bind_once`).
+        self.bound_patterns: dict = {}
         if transport == "sim":
             self.transport = SimTransport(
                 self, schedule=schedule, seed=seed, routing=routing

@@ -183,6 +183,8 @@ class ProcessTransport(Transport):
         self._to_parent = None
         self._sync_blobs: list = []
         self._spawn_sig: tuple = ()
+        #: Message types whose action has a work hook; None = recompute.
+        self._hooked: Optional[frozenset] = None
         self._bound_action_cache: dict[int, Any] = {}
         # Worker-only state (populated in _post_fork_init).
         self._me = -1
@@ -236,8 +238,20 @@ class ProcessTransport(Transport):
     # ------------------------------------------------------------------
     # spawn / lifecycle
     # ------------------------------------------------------------------
+    def hooks_changed(self) -> None:
+        self._hooked = None
+
     def _signature(self) -> tuple:
-        return (len(self.machine.registry), len(self._adopted))
+        # Workers install their feedback appenders at fork time, on the
+        # actions hooked then: a hook set or cleared later respawns them.
+        if self._hooked is None:
+            hooked = set()
+            for mt in self.machine.registry:
+                ba = self._bound_action(mt.type_id)
+                if ba is not None and (ba.work is not None or ba.work_many is not None):
+                    hooked.add(mt.type_id)
+            self._hooked = frozenset(hooked)
+        return (len(self.machine.registry), len(self._adopted), self._hooked)
 
     def _ensure_started(self) -> None:
         if self._worker_rank is not None:
@@ -245,8 +259,8 @@ class ProcessTransport(Transport):
         if self._started:
             if self._signature() == self._spawn_sig:
                 return
-            # New message types or maps bound after spawn: respawn at a
-            # quiescent boundary so the workers pick them up.
+            # New message types, maps or work hooks since spawn: respawn
+            # at a quiescent boundary so the workers pick them up.
             self._drain(timeout=60.0)
             self._sync_workers()
             self._stop_workers()

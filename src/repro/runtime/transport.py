@@ -279,6 +279,9 @@ class Transport:
             raise ValueError("resize needs at least one rank")
         self.n_ranks = n_ranks
 
+    def hooks_changed(self) -> None:
+        """A bound action's work hook was set or cleared (see process)."""
+
     def finish_epoch(self, detector) -> None:
         """Drain and run the termination protocol until quiescence is proven."""
         tel = self.machine.telemetry

@@ -8,9 +8,10 @@ against it.  This package provides that service:
   :class:`~repro.runtime.machine.Machine` + graph, a job queue with
   admission control, and a single executor thread.
 * :mod:`~repro.service.batching` — the batching scheduler: compatible
-  pending queries (same graph version, algorithm family) lower into one
-  multi-source run (:mod:`repro.strategies.multi_source`), then demux
-  into per-job results, bit-identical to sequential execution.
+  pending queries (same graph version, algorithm family) run as one
+  group of ``fixed_point`` runs over a pattern bound once per engine
+  (:mod:`repro.strategies.multi_source`), bit-identical to sequential
+  execution.
 * :mod:`~repro.service.cache` — versioned result cache keyed by
   ``(graph_version, algorithm, canonical_params)``; mutation version
   bumps invalidate, LRU + byte budget bound residency.

@@ -1,19 +1,17 @@
-"""Batching scheduler: fuse compatible pending queries into one run.
+"""Batching scheduler: group compatible pending queries into one step.
 
-GraFS fuses multiple analytics over one traversal; the service applies
-the same idea across *concurrent user queries*.  Pending jobs are
-compatible when they share a :class:`BatchKey` — same algorithm family
-and same graph version — and the batchable families (single-source
-SSSP/BFS) lower K jobs into ONE multi-source execution
-(:func:`~repro.strategies.multi_source.sssp_multi`) whose K-wide
-distance rows demux back into per-job results.  Queued mutations are
-barriers: collection never reaches past one, so every job executes
-against exactly the graph version queue order dictates.
+Pending jobs are compatible when they share a :class:`BatchKey` — same
+algorithm family and same graph version.  The batchable families
+(single-source SSSP/BFS) run a group of K jobs as K ``fixed_point`` runs
+of the paper's ``relax``/``hop`` action over one binding
+(:func:`~repro.strategies.multi_source.sssp_multi`), whose ``(K, n)``
+rows demux into per-job results.  Queued mutations are barriers:
+collection never reaches past one, so every job executes against exactly
+the graph version queue order dictates.
 
-Batched execution is bit-identical to running the K jobs sequentially
-(see the fixed-point argument in :mod:`repro.strategies.multi_source`);
-``tests/service/test_batching.py`` proves it differentially across
-transports × fast paths.
+Each row is a single-source run by construction, so grouped execution is
+bit-identical to running the K jobs one at a time;
+``tests/service/test_batching.py`` checks it across transports × tiers.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import TYPE_CHECKING, List, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import JobRecord
 
-#: Algorithm families the scheduler can lower into one multi-source run.
+#: Algorithm families the scheduler groups into one multi-source step.
 BATCHABLE = ("sssp", "bfs")
 
 #: Job kind that acts as a queue barrier (graph-version boundary).
@@ -47,7 +45,7 @@ def batch_key(algorithm: str, graph_version: int) -> Optional[BatchKey]:
 
 
 class BatchingScheduler:
-    """Collects compatible jobs and lowers them into fused runs."""
+    """Collects compatible jobs and runs each group as one step."""
 
     def __init__(self, *, max_batch: int = 16, coalescing: Optional[int] = 512) -> None:
         if max_batch < 1:
@@ -82,23 +80,21 @@ class BatchingScheduler:
                 group.append(job)
         return group
 
-    def execute(self, machine, graph, weight_by_gid, jobs: List["JobRecord"]):
-        """Run one group as a single K-wide fused execution.
+    def execute(self, machine, graph, weight, jobs: List["JobRecord"]):
+        """Run one group through the machine's cached SSSP/BFS binding.
 
-        Returns the per-job result rows, aligned with ``jobs``.  K == 1
-        degenerates to a plain single-source run through the same code
-        path, so batched and unbatched execution cannot diverge.
+        ``weight`` is the engine's :class:`EdgePropertyMap`.  Returns the
+        per-job result rows, aligned with ``jobs``.  Batched and unbatched
+        execution share this path, so they cannot diverge.
         """
         from ..strategies.multi_source import bfs_multi, sssp_multi
 
         algorithm = jobs[0].algorithm
         sources = [int(j.params["source"]) for j in jobs]
         if algorithm == "sssp":
-            if weight_by_gid is None:
+            if weight is None:
                 raise ValueError("sssp jobs need an engine loaded with weights")
-            rows = sssp_multi(
-                machine, graph, weight_by_gid, sources, coalescing=self.coalescing
-            )
+            rows = sssp_multi(machine, graph, weight, sources, coalescing=self.coalescing)
         elif algorithm == "bfs":
             rows = bfs_multi(machine, graph, sources, coalescing=self.coalescing)
         else:  # pragma: no cover - collect() only groups BATCHABLE families

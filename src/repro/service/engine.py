@@ -10,8 +10,10 @@ serves algorithm jobs against it:
 * **Single executor thread** — the machine is not thread-safe, so one
   worker drains the queue.  At each step it asks the
   :class:`~repro.service.batching.BatchingScheduler` for the head job's
-  compatibility group and runs the group as one fused multi-source
-  execution; non-batchable analytics (cc, pagerank) run one at a time.
+  compatibility group and runs it as ``fixed_point`` runs of the SSSP
+  ``relax`` / BFS ``hop`` action; non-batchable analytics (cc, pagerank)
+  run one at a time.  Every family's pattern is bound once, on its first
+  job, and reused: jobs never grow the message registry.
 * **Mutation barrier jobs** — ``algorithm="mutate"`` jobs apply a
   :class:`~repro.graph.mutate.MutationBatch` through
   :meth:`Machine.apply_mutations` at their queue position; the version
@@ -81,12 +83,12 @@ class JobRecord:
     #: Graph version the job executed against (set at execution time).
     graph_version: Optional[int] = None
     cache_hit: bool = False
-    #: Fused-run accounting: which batch served this job and how wide it
+    #: Group accounting: which batch served this job and how wide it
     #: was (size 1 == sequential execution).
     batch_id: Optional[int] = None
     batch_size: int = 0
-    #: Logical message traffic of the run that served this job (shared
-    #: across the whole batch — that sharing *is* the amortization).
+    #: Logical message traffic of the group that served this job (the
+    #: group's total, reported by every member).
     messages_sent: int = 0
     handler_calls: int = 0
     #: Telemetry pointers: epoch index range of the serving run.
@@ -159,15 +161,12 @@ class GraphEngine:
         if self.cache.stats is None:
             self.cache.stats = machine.stats
         self._owns_machine = owns_machine
+        # Registered on the graph, so mutations and rebalances migrate it
+        # in place: one SSSP binding over it serves the engine's lifetime.
         self._weight = (
             None
             if weight_by_gid is None
             else weight_map_from_array(graph, weight_by_gid, name="svc.weight")
-        )
-        self._weight_by_gid = (
-            None
-            if weight_by_gid is None
-            else np.asarray(weight_by_gid, dtype=np.float64)
         )
         self._queue: "deque[JobRecord]" = deque()
         self._jobs: Dict[str, JobRecord] = {}
@@ -403,7 +402,7 @@ class GraphEngine:
         try:
             if family is not None:
                 results = self.scheduler.execute(
-                    self.machine, self.graph, self._weight_by_gid, missing
+                    self.machine, self.graph, self._weight, missing
                 )
             else:
                 results = [self._run_one(job) for job in missing]
@@ -437,10 +436,8 @@ class GraphEngine:
             self._finish(job, "done")
             stats.count_service("jobs_completed")
         if self.graph.version != missing[0].graph_version:
-            # A queued mutation landed mid-run: pick up the migrated
-            # weights and reclaim entries keyed to superseded versions.
-            if self._weight is not None:
-                self._weight_by_gid = self._weight.to_array()
+            # A queued mutation landed mid-run: reclaim entries keyed to
+            # superseded versions.
             self.cache.invalidate(self.graph.version)
         self.machine.flight.record(
             "job_batch",
@@ -451,14 +448,19 @@ class GraphEngine:
         )
 
     def _run_one(self, job: JobRecord):
-        """Sequential execution of a non-batchable analytic."""
-        from ..algorithms.cc import cc_label_propagation
-        from ..algorithms.pagerank import pagerank
+        """Sequential execution of a non-batchable analytic, on a pattern
+        bound once per engine graph."""
+        from ..algorithms.cc import cc_label_pattern, cc_label_propagation
+        from ..algorithms.pagerank import pagerank, pagerank_pattern
+        from ..patterns.executor import bind, bind_once
 
+        m, g = self.machine, self.graph
         if job.algorithm == "cc":
-            return cc_label_propagation(self.machine, self.graph)
+            bp = bind_once(m, ("cc", g), lambda: bind(cc_label_pattern(), m, g))
+            return cc_label_propagation(m, g, bound=bp)
         if job.algorithm == "pagerank":
-            return pagerank(self.machine, self.graph, **job.params)
+            bp = bind_once(m, ("pagerank", g), lambda: bind(pagerank_pattern(), m, g))
+            return pagerank(m, g, bound=bp, **job.params)
         raise ValueError(f"no sequential runner for {job.algorithm!r}")
 
     def _execute_mutation(self, job: JobRecord) -> None:
@@ -475,11 +477,6 @@ class GraphEngine:
             if job.params.get("add_vertices"):
                 batch.add_vertices(int(job.params["add_vertices"]))
             delta = self.machine.apply_mutations(batch, weight_map=self._weight)
-            if self._weight is not None:
-                # Fresh gid-aligned array: the multi-source runners key
-                # their weight maps on this object's identity, so a new
-                # array forces a rebuild against the migrated weights.
-                self._weight_by_gid = self._weight.to_array()
             self.cache.invalidate(self.graph.version)
             stats.count_service("mutations_applied")
             job.graph_version = self.graph.version
@@ -515,10 +512,6 @@ class GraphEngine:
                 new_ranks=job.params.get("n_ranks"),
                 partitioner=job.params.get("partitioner"),
             )
-            if self._weight is not None:
-                # Edge values were re-placed gid-by-gid; republish the
-                # gid-aligned array so fused runs bind the moved weights.
-                self._weight_by_gid = self._weight.to_array()
             self.cache.invalidate(self.graph.version)
             job.graph_version = self.graph.version
             job.result = dict(

@@ -19,7 +19,7 @@ from .incremental import (
     cc_delta_restart,
     sssp_delta_restart,
 )
-from .multi_source import MultiSourceRunner, bfs_multi, sssp_multi
+from .multi_source import bfs_multi, sssp_multi
 from .once import once
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "delta_stepping_spmd",
     "fixed_point",
     "light_heavy_sssp_pattern",
-    "MultiSourceRunner",
     "bfs_multi",
     "sssp_multi",
     "once",

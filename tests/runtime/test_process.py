@@ -75,6 +75,41 @@ class TestLifecycle:
         assert pm.stats.by_type["a"].handler_calls == 2
         assert pm.stats.by_type["b"].handler_calls == 1
 
+    def test_work_hook_set_after_spawn_reaches_workers(self):
+        """Workers fork with feedback appenders on the actions hooked at
+        spawn time; a hook installed later must reach them before the
+        action's next message, or its dependents are silently dropped."""
+        from repro.algorithms import bfs_pattern, bfs_reference, bind_sssp
+        from repro.graph import rmat
+        from repro.patterns import bind
+        from repro.strategies import fixed_point
+
+        s, t = rmat(8, edge_factor=8, seed=1)
+        w = uniform_weights(len(s), 1, 10, seed=2)
+        g, wg = build_graph(256, list(zip(s, t)), weights=w, n_ranks=2)
+        src = int(np.bincount(s, minlength=256).argmax())
+        m = Machine(2, transport="process")
+        try:
+            sssp = bind_sssp(m, g, wg)
+            bfs = bind(bfs_pattern(), m, g)
+            assert bfs["hop"].work is None
+            sssp.map("dist")[src] = 0.0
+            fixed_point(m, sssp["relax"], [src])  # spawns; hop unhooked
+            bfs.map("depth")[src] = 0.0
+            fixed_point(m, bfs["hop"], [src])
+            ref = bfs_reference(256, s, t, src)
+            assert np.array_equal(bfs.map("depth").to_array(), ref)
+            # Steady state: rerunning either action keeps the workers.
+            pids = [p.pid for p in m.transport._procs]
+            for bp, action, name in ((sssp, "relax", "dist"), (bfs, "hop", "depth")):
+                bp.map(name).fill(np.inf)
+                bp.map(name)[src] = 0.0
+                fixed_point(m, bp[action], [src])
+            assert [p.pid for p in m.transport._procs] == pids
+            assert np.array_equal(bfs.map("depth").to_array(), ref)
+        finally:
+            m.shutdown()
+
     def test_shutdown_reaps_workers_and_shm(self):
         m = Machine(n_ranks=2, transport="process")
         m.register("n", lambda ctx, p: None, dest_rank_of=lambda p: p[0] % 2)

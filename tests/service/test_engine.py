@@ -3,11 +3,18 @@ validation, failure isolation, and clean shutdown."""
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro import Machine
-from repro.algorithms import bfs_fixed_point, sssp_fixed_point
+from repro.algorithms import (
+    bfs_fixed_point,
+    cc_label_propagation,
+    pagerank,
+    sssp_fixed_point,
+)
 from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.service import EngineBusy, GraphEngine, UnknownJob
 
@@ -207,3 +214,77 @@ class TestStatsSnapshot:
         assert snap["batching"] is True
         assert snap["cache"]["entries"] == 1
         assert snap["transport"] == "SimTransport"
+
+
+class TestBindOnce:
+    """Every family binds its pattern once per engine: repeated computed
+    jobs, a mutation and a resize leave the message registry, the graph's
+    vertex maps and (on ``process``) the worker fleet alone, and every
+    result equals a fresh run on a fresh machine."""
+
+    @staticmethod
+    def fresh(g, weights, algorithm, params):
+        m = Machine(g.n_ranks, fast_path="vector")
+        if algorithm == "sssp":
+            return sssp_fixed_point(m, g, weights, params["source"])
+        if algorithm == "bfs":
+            return bfs_fixed_point(m, g, params["source"])
+        if algorithm == "cc":
+            return cc_label_propagation(m, g)
+        return pagerank(m, g, **params)
+
+    @pytest.mark.parametrize("transport", ("sim", "process"))
+    def test_registry_maps_and_spawns_stay_flat(self, transport):
+        g, wg = instance(n_ranks=2)
+        m = Machine(2, transport=transport, fast_path="vector")
+        spawns = []
+        if transport == "process":
+            spawn = m.transport._spawn
+            m.transport._spawn = lambda: (spawns.append(1), spawn())
+        eng = GraphEngine(m, g, wg)
+        sizes = []
+
+        def round_(k):
+            eng.cache.invalidate()  # every job computes
+            specs = [
+                ("sssp", {"source": k}),
+                ("bfs", {"source": k + 1}),
+                ("cc", {}),
+                ("pagerank", {"iterations": 3 + k}),
+            ]
+            jobs = [eng.submit(a, p) for a, p in specs]
+            for job in jobs:
+                assert job.wait(timeout=60) and job.status == "done", job.error
+            gc.collect()
+            sizes.append((len(m.registry), len(g._vertex_maps), len(spawns)))
+            weights = eng._weight.to_array()
+            for job, (a, p) in zip(jobs, specs):
+                ref = self.fresh(g, weights, a, p)
+                if a == "pagerank" and transport == "process":
+                    # Float sums follow the (nondeterministic) arrival
+                    # order across worker processes, fresh run or not.
+                    assert np.allclose(job.result, ref, rtol=0, atol=1e-15)
+                else:
+                    assert np.array_equal(job.result, ref), a
+
+        try:
+            round_(0)
+            round_(1)
+            assert eng.submit("mutate", {"insert": [[0, 39, 0.5]]}).wait(60)
+            round_(2)
+            round_(3)
+            job = eng.submit("rebalance", {"n_ranks": 4})
+            assert job.wait(60) and job.status == "done", job.error
+            round_(4)
+            round_(5)
+        finally:
+            eng.close()
+            m.shutdown()
+        registry, vmaps, _ = sizes[0]
+        assert all(s[:2] == (registry, vmaps) for s in sizes), sizes
+        if transport == "process":
+            # One respawn per graph change (the fleet is released for
+            # map migration and resized), none per job.
+            n = [s[2] for s in sizes]
+            assert n[1] == n[0] and n[3] == n[2] and n[5] == n[4], n
+            assert n[2] == n[1] + 1 and n[4] == n[3] + 1, n

@@ -1,11 +1,12 @@
-"""Differential tests for multi-source fused SSSP/BFS.
+"""Differential tests for multi-source SSSP/BFS.
 
-The fused K-wide runners must be **bit-identical** (``np.array_equal``,
-never merely close) to K independent single-source runs of the existing
-fixed-point strategies, across every transport x fast-path combination
-and under chaos schedules with reliable delivery.  This is the service
-layer's correctness backbone: the batching scheduler may freely fuse
-concurrent queries only because fusion is provably invisible.
+The ``(K, n)`` rows of ``sssp_multi``/``bfs_multi`` must be
+**bit-identical** (``np.array_equal``, never merely close) to K
+independent single-source runs of the fixed-point strategies, across
+every transport x fast-path combination and under chaos schedules with
+reliable delivery, while reusing one binding per machine.  This is the
+service layer's correctness backbone: the batching scheduler groups
+concurrent queries only because grouping is invisible in the results.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro import Machine
 from repro.algorithms import bfs_fixed_point, sssp_fixed_point
 from repro.graph import build_graph, erdos_renyi, uniform_weights
 from repro.runtime import ChaosConfig
-from repro.strategies import MultiSourceRunner, bfs_multi, sssp_multi
+from repro.strategies import bfs_multi, sssp_multi
 
 from ..tiers import CELLS, cell_seed, tier
 
@@ -61,7 +62,7 @@ def bfs_oracle(mode: str) -> np.ndarray:
 
 
 class TestFusedEqualsSequential:
-    """One fused run == K independent runs, on sim and threads."""
+    """One multi-source call == K independent runs, on sim and threads."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("transport", ("sim", "threads"))
@@ -103,7 +104,7 @@ class TestFusedEqualsSequential:
 
 
 class TestProcessTransport:
-    """Fused runs on real forked ranks, including live-worker reuse."""
+    """Multi-source runs on real forked ranks, including live-worker reuse."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sssp_and_rerun(self, mode):
@@ -112,11 +113,13 @@ class TestProcessTransport:
         try:
             rows = sssp_multi(m, g, wg, SOURCES)
             assert np.array_equal(rows, sssp_oracle(mode))
-            # Second run reuses the registered runner: same graph version,
-            # so the shm-backed distance map is refilled in place and the
-            # live workers see it without a respawn.
+            # Second call reuses the cached binding: the shm-backed
+            # distance map is refilled in place and the live workers see
+            # it without a respawn.
+            pids = [p.pid for p in m.transport._procs]
             again = sssp_multi(m, g, wg, SOURCES)
             assert np.array_equal(again, sssp_oracle(mode))
+            assert [p.pid for p in m.transport._procs] == pids
         finally:
             m.shutdown()
 
@@ -131,8 +134,8 @@ class TestProcessTransport:
 
 
 class TestUnderChaos:
-    """Drops, duplicates, and reorders with reliable delivery: the fused
-    fixed point must still match the fault-free oracle bit-for-bit."""
+    """Drops, duplicates, and reorders with reliable delivery: every
+    row's fixed point must still match the fault-free oracle bit-for-bit."""
 
     SEEDS = tuple(range(8))
 
@@ -159,16 +162,18 @@ class TestUnderChaos:
 
 class TestRunnerReuse:
     def test_runner_cached_per_width(self):
+        """One binding per family serves every width: the registry does
+        not grow after the first call."""
         g, wg = er(weights=True)
         m = Machine(4, fast_path="vector")
         sssp_multi(m, g, wg, SOURCES)
-        sssp_multi(m, g, wg, SOURCES)  # same width: reuse
-        sssp_multi(m, g, wg, SOURCES[:2])  # new width: one more runner
-        cache = m._multi_source_runners
-        assert set(cache) == {("sssp", 4, None), ("sssp", 2, None)}
-        # the 4-wide message type registered exactly once
-        names = [r.name for r in cache.values()]
-        assert len(names) == len(set(names))
+        bfs_multi(m, g, SOURCES)
+        size = len(m.registry)
+        for k in (4, 2, 1, 3):
+            sssp_multi(m, g, wg, SOURCES[:k])
+            bfs_multi(m, g, SOURCES[:k])
+        assert len(m.registry) == size
+        assert len(m.bound_patterns) == 2
 
     def test_refill_after_reuse_is_exact(self):
         """A second run through a cached runner starts from a refilled
@@ -182,16 +187,19 @@ class TestRunnerReuse:
     def test_width_mismatch_raises(self):
         g, wg = er(weights=True)
         m = Machine(4)
-        runner = MultiSourceRunner(m, "sssp", 3)
-        with pytest.raises(ValueError, match="3-wide"):
-            runner.run(g, wg, [0, 1])
+        for bad in (g.n_vertices, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                sssp_multi(m, g, wg, [0, bad])
+            with pytest.raises(ValueError, match="out of range"):
+                bfs_multi(m, g, [bad])
 
     def test_bad_family_and_width(self):
+        g, wg = er(weights=True)
         m = Machine(2)
-        with pytest.raises(ValueError, match="family"):
-            MultiSourceRunner(m, "pagerank", 2)
-        with pytest.raises(ValueError, match=">= 1"):
-            MultiSourceRunner(m, "sssp", 0)
+        with pytest.raises(ValueError, match="at least one source"):
+            sssp_multi(m, g, wg, [])
+        with pytest.raises(ValueError, match="at least one source"):
+            bfs_multi(m, g, ())
 
 
 class TestUnreachable:
