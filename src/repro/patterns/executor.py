@@ -60,7 +60,6 @@ from .expr import (
 )
 from ..runtime.coalescing import CoalescingLayer
 from .fastpath import _MISSING, compile_steps, recognize_vector_shape
-from .locality import fusion_report
 from .pattern import Pattern, PropertyDecl, default_for
 from .planner import ActionPlan, compile_action
 
@@ -165,21 +164,18 @@ class BoundAction:
         # payloads/statistics/values to the interpreted walk.
         # "vector": additionally, recognizable plan shapes get a numpy
         # batch kernel installed as the message type's batch handler, fused
-        # across the gather->evaluate round where the planner proves it
-        # legal (locality.fusion_report): rank-local edges are applied
-        # inline and remote rows are deduped before the wire.  Recognized
-        # does not imply fusable (a src(e) candidate is not source-local).
-        # Unrecognized shapes fall back to the compiled walk.
+        # across the gather->evaluate round where the planner's extremum
+        # match has a source-local candidate (``VectorPlan.fused``):
+        # rank-local edges are applied inline and remote rows are deduped
+        # before the wire.  Recognized does not imply fused (a src(e)
+        # candidate is not source-local).  Unrecognized shapes fall back to
+        # the compiled walk.
         fp = bound.machine.fast_path
         self._compiled = compile_steps(self) if fp != "off" else None
         self._walk_fn = self._walk if self._compiled is None else self._walk_compiled
         self.vector_plan = recognize_vector_shape(self) if fp == "vector" else None
-        self._fused = False
-        if fp == "vector":
-            if self.vector_plan is None:
-                bound.machine.stats.count_fusion("fallbacks")
-            else:
-                self._fused = fusion_report(plan).fusable
+        if fp == "vector" and self.vector_plan is None:
+            bound.machine.stats.count_fusion("fallbacks")
         # Bulk column sends may bypass the per-payload layer walk only when
         # the stack is exactly one coalescing layer (flush boundaries are
         # then reproduced precisely; any other layer must see each row).
@@ -192,6 +188,11 @@ class BoundAction:
         )
         if self.vector_plan is not None:
             self.mtype.batch_handler = self._batch_handler
+
+    @property
+    def _fused(self) -> bool:
+        """True when the vector tier fuses this action's message round."""
+        return self.vector_plan is not None and self.vector_plan.fused
 
     # -- slot table -----------------------------------------------------------
     def _all_keys(self) -> set:
@@ -558,15 +559,15 @@ class BoundAction:
         column for every out-edge of every vertex in ``starts`` (the
         bind-time numpy closures over per-edge index arrays).  Rows whose
         eval step runs here are applied inline and are not messages:
-        self-loop arcs, as elision would, and — when the planner proved the
-        gather -> evaluate pair fusable
-        (:func:`~repro.patterns.locality.fusion_report`) — every rank-local
+        self-loop arcs, as elision would, and — when the plan is fused
+        (``VectorPlan.fused``, see
+        :func:`~repro.patterns.locality.fusion_report`) — every rank-local
         edge, the collapsed message round.  All other rows leave through
         :meth:`_send_columns`; counts and payload values match the scalar
         walk's exactly.
         """
         vp = self.vector_plan
-        fused = self._fused
+        fused = vp.fused
         g = self.bound.graph
         rank = ctx.rank
         stats = ctx.stats
@@ -601,6 +602,10 @@ class BoundAction:
                 # neither the final map nor the dependent set, so drop
                 # them before they reach the wire.
                 cand = cols[vp.cand_col]
+                if not vp.minimize and cand.dtype.kind == "f":
+                    # NaN sorts last, yet never wins the compare: rank it
+                    # below every candidate so it cannot crowd out the max.
+                    cand = np.where(np.isnan(cand), -np.inf, cand)
                 order = np.lexsort((cand, targets))
                 ts = targets[order]
                 best = np.empty(len(ts), dtype=bool)

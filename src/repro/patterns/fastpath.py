@@ -16,10 +16,9 @@ compiled walk produces bit-identical payloads, statistics and property
 values to the interpreted walk.
 
 **Tier 2 — vector shape recognition** (:func:`recognize_vector_shape`).
-Plans matching the SSSP-relax / CC-hook shape — a single ``out_edges`` or
-``adj`` generator, one merged comparison condition, and one min/max-style
-assignment at the generated neighbour — are additionally compiled to
-*batch kernels*: every generator start of a delivered envelope fans out in
+Plans the planner matched as an extremum update (the SSSP-relax / CC-hook
+shape, :class:`~repro.patterns.planner.Extremum`) are additionally compiled
+to *batch kernels*: every generator start of a delivered envelope fans out in
 one call (carry kernels over per-edge index arrays into ``LocalCSR`` and
 property-map backing arrays), the rows travel as column batches
 (:class:`~repro.runtime.wire.WireBatch`) and a whole coalesced envelope is
@@ -285,7 +284,6 @@ def compile_steps(ba) -> list[list[CompiledStep]]:
     for cp in ba.plan.cond_plans:
         steps: list[CompiledStep] = []
         for s in cp.steps:
-            loc_key = unalias(s.locality).key()
             reads = [
                 (r.key(), ba.bound.maps[r.decl.name].get, cc.compile(r.index))
                 for r in s.reads
@@ -295,8 +293,8 @@ def compile_steps(ba) -> list[list[CompiledStep]]:
             steps.append(
                 CompiledStep(
                     kind=s.kind,
-                    loc_key=loc_key,
-                    carry=frozenset(s.live_in - {loc_key}),
+                    loc_key=s._loc_key,
+                    carry=s._carry,
                     elide_keys=tuple(
                         [k for k, _, _ in reads]
                         + [k for k, _ in routing]
@@ -342,6 +340,7 @@ class VectorPlan:
     cand_key: tuple  # env key carrying the candidate value
     target_map: VertexPropertyMap
     minimize: bool
+    fused: bool  # rank-local rows skip the message (source-local candidate)
     dependent: bool  # fires the work hook on change
     carry_vecs: list  # [(slot, kernel)] in payload order
     slot_sig: tuple  # the slot ids, in payload order (batch matching)
@@ -463,114 +462,54 @@ def edge_index_arrays(indptr: np.ndarray, vloc: np.ndarray) -> tuple:
 
 
 def recognize_vector_shape(ba) -> Optional[VectorPlan]:
-    """Match a compiled plan against the vectorizable shape, or ``None``.
+    """Bind the plan's extremum update to batch kernels, or ``None``.
 
-    Required structure (checked, never assumed):
+    The structure — generator, gathers at the input vertex, a merged
+    compare-and-assign at the generated neighbour, ``minimize`` — is the
+    planner's match (:class:`~repro.patterns.planner.Extremum`).  What
+    remains needs the binding:
 
-    * optimized planning mode, single condition, merged eval+modify,
-      no else-branch and no following condition group;
-    * a builtin ``out_edges`` or ``adj`` generator;
-    * all pre-eval steps are gathers at the input vertex; the eval step is
-      last and sits at the generated neighbour (``trg(e)`` or ``u``);
-    * the test is a plain comparison between a numeric vertex property at
-      the neighbour and a candidate computed from source-local values;
-    * exactly one modification: assigning that same candidate to that
-      same property — i.e. a min/max update;
+    * the eval step reads exactly the target property;
+    * the target map is a numeric :class:`VertexPropertyMap`;
     * every env key the payload carries to the eval step (the candidate,
       and possibly liveness-retained extras such as the input vertex id)
       is computable source-locally by a vector kernel.
     """
-    plan = ba.plan
-    action = plan.action
-    if plan.mode != "optimized" or len(plan.cond_plans) != 1:
+    m = ba.plan.confluence
+    if m is None:
         return None
-    cp = plan.cond_plans[0]
-    if not cp.merged or cp.next_on_false is not None or cp.next_group is not None:
+    eval_step = m.steps[-1]
+    if eval_step._read_keys != [m.target.key()]:
         return None
-    gen = action.generator
-    if gen is None or not gen.is_builtin or gen.source not in ("out_edges", "adj"):
-        return None
-    steps = cp.steps
-    eval_steps = [i for i, s in enumerate(steps) if s.kind == "eval"]
-    if len(eval_steps) != 1 or eval_steps[0] != len(steps) - 1:
-        return None
-    eval_si = eval_steps[0]
-    eval_step = steps[eval_si]
-    input_key = action.input.key()
-    for s in steps[:eval_si]:
-        if s.kind != "gather" or unalias(s.locality).key() != input_key:
-            return None
-    # eval locality must be the generated neighbour
-    neighbour = TrgOf(gen.var) if gen.source == "out_edges" else gen.var
-    if unalias(eval_step.locality).key() != neighbour.key():
-        return None
-    # test: Compare(cand, target[t]) in either orientation
-    test = unalias(eval_step.test) if eval_step.test is not None else None
-    if not isinstance(test, Compare) or test.op not in ("<", "<=", ">", ">="):
-        return None
-    left, right = unalias(test.left), unalias(test.right)
-
-    def is_target_read(e: Expr) -> bool:
-        return (
-            isinstance(e, PropRead)
-            and unalias(e.index).key() == neighbour.key()
-        )
-
-    if is_target_read(right) and not is_target_read(left):
-        target_read, cand_expr = right, left
-        minimize = test.op in ("<", "<=")  # cand < cur  =>  keep the min
-    elif is_target_read(left) and not is_target_read(right):
-        target_read, cand_expr = left, right
-        minimize = test.op in (">", ">=")  # cur > cand  =>  keep the min
-    else:
-        return None
-    # eval-step local reads: exactly the target read
-    if [r.key() for r in eval_step.reads] != [target_read.key()]:
-        return None
-    # single modification: target = cand
-    if len(eval_step.mods) != 1 or not isinstance(eval_step.mods[0], Assign):
-        return None
-    mod = eval_step.mods[0]
-    if (
-        mod.target.key() != target_read.key()
-        or unalias(mod.value).key() != cand_expr.key()
-    ):
-        return None
-    target_map = ba.bound.maps.get(target_read.decl.name)
-    if not isinstance(target_map, VertexPropertyMap):
-        return None
-    if target_map.dtype is object or target_map.dtype == "object":
+    target_map = ba.bound.maps.get(m.target.decl.name)
+    if not isinstance(target_map, VertexPropertyMap) or not target_map.is_numeric:
         return None
     # Reconstruct the carried payload layout exactly as the scalar walk
     # packs it: env insertion order (generator base keys, then each gather
-    # step's reads / routing / folds), filtered to the eval step's live-in.
-    cand_key = cand_expr.key()
-    input_key = action.input.key()
+    # step's reads / routing / folds), filtered to the eval step's carry.
+    gen = ba.plan.action.generator
+    cand_key = m.cand.key()
+    input_key = ba.plan.action.input.key()
     ordered: list = [input_key, gen.var.key()]
     key_expr: dict = {input_key: _INPUT_VALUE}
     if gen.source == "out_edges":
         sk, tk = SrcOf(gen.var).key(), TrgOf(gen.var).key()
         ordered += [sk, tk]
         key_expr[sk] = _INPUT_VALUE  # src of a generated out-arc IS the input
-    for s in steps[:eval_si]:
-        for r in s.reads:
-            ordered.append(r.key())
-            key_expr.setdefault(r.key(), r)
-        for r in s.routing:
-            ordered.append(r.key())
-            key_expr.setdefault(r.key(), r)
-        for f in s.folds:
-            ordered.append(f.key())
-            key_expr.setdefault(f.key(), f)
+    for s in m.steps[:-1]:
+        for e in (*s.reads, *s.routing, *s.folds):
+            ordered.append(e.key())
+            key_expr.setdefault(e.key(), e)
     seen: set = set()
-    ordered = [k for k in ordered if not (k in seen or seen.add(k))]
-    carried = (eval_step.live_in - {unalias(eval_step.locality).key()}) & set(ordered)
-    payload_keys = [k for k in ordered if k in carried]
-    if cand_key not in carried:
+    payload_keys = [
+        k
+        for k in ordered
+        if k in eval_step._carry and not (k in seen or seen.add(k))
+    ]
+    if cand_key not in seen:
         return None
     # Every carried key must have a source-local vector kernel.
     carry_vecs: list = []
-    slot_sig: list = []
     cand_pos = -1
     for i, k in enumerate(payload_keys):
         src_e = key_expr.get(k)
@@ -585,20 +524,19 @@ def recognize_vector_shape(ba) -> Optional[VectorPlan]:
             )(inner)
         else:
             return None
-        slot = ba._slot_of[k]
-        carry_vecs.append((slot, kern))
-        slot_sig.append(slot)
+        carry_vecs.append((ba._slot_of[k], kern))
         if k == cand_key:
             cand_pos = 3 + 2 * i + 1
     return VectorPlan(
         generator=gen.source,
-        eval_si=eval_si,
+        eval_si=m.eval_si,
         cand_key=cand_key,
         target_map=target_map,
-        minimize=minimize,
-        dependent=target_read.decl.name in plan.dependent_props,
+        minimize=m.minimize,
+        fused=m.source_local,
+        dependent=m.target.decl.name in ba.plan.dependent_props,
         carry_vecs=carry_vecs,
-        slot_sig=tuple(slot_sig),
+        slot_sig=tuple(slot for slot, _ in carry_vecs),
         payload_len=3 + 2 * len(carry_vecs),
         cand_pos=cand_pos,
     )

@@ -217,22 +217,15 @@ class FusionReport:
     """Whether a plan's gather -> evaluate pair may be fused
     (``fast_path="vector"``), and why not when it may not.
 
-    Fusion executes the generator fan-out *and* the eval-step's
-    compare-and-assign in a single pass at the source rank
-    for every generated neighbour that is rank-local — collapsing the
-    gather -> evaluate message round to zero messages for those edges.
-    Legality requires two properties, both provable statically:
-
-    1. **Source-local gather**: every value the eval step consumes
-       (the candidate) is computable from data at the input vertex or on
-       the generated edge, so no extra hop is needed to build it.
-    2. **Confluent update**: the eval step is a merged extremum
-       compare-and-assign (``p[t] = cand if cand < p[t]``, or ``>``).
-       Such updates commute and are idempotent, so applying a rank-local
-       edge inline instead of through a message cannot change the final
-       map or the dependent-vertex set (``{t : final[t] != initial[t]}``)
-       under any delivery order — the same argument that makes the
-       vector scatter legal, extended across the message boundary.
+    Fusion executes the generator fan-out *and* the eval step's
+    compare-and-assign in one pass at the source rank for every rank-local
+    neighbour, so those edges send no message.  It is legal when the plan
+    matched :class:`~repro.patterns.planner.Extremum` with a source-local
+    candidate: building the candidate needs no extra hop, and a confluent
+    update applied inline instead of through a message leaves the final
+    map and the dependent-vertex set unchanged under any delivery order —
+    the argument that makes the vector scatter legal, extended across the
+    message boundary.
     """
 
     fusable: bool
@@ -242,7 +235,7 @@ class FusionReport:
         return self.fusable
 
 
-def _source_local(expr: Expr, generator_source: str) -> bool:
+def is_source_local(expr: Expr, generator_source: str) -> bool:
     """True when ``expr`` is computable at the input vertex (Definition 1):
     constants, properties of the input vertex, properties of the generated
     edge (the edge is produced at the input vertex), and pure arithmetic
@@ -267,70 +260,27 @@ def _source_local(expr: Expr, generator_source: str) -> bool:
             return True
         return False
     if isinstance(expr, (BinOp, Compare)):
-        return _source_local(expr.left, generator_source) and _source_local(
+        return is_source_local(expr.left, generator_source) and is_source_local(
             expr.right, generator_source
         )
     if isinstance(expr, Call):
-        return all(_source_local(a, generator_source) for a in expr.args)
+        return all(is_source_local(a, generator_source) for a in expr.args)
     return False
 
 
 def fusion_report(plan) -> FusionReport:
-    """Structural fusion legality for an :class:`~repro.patterns.planner.ActionPlan`.
+    """Fusion legality for an :class:`~repro.patterns.planner.ActionPlan`.
 
-    This is the planner-level half of the decision (shape only); the
-    vector tier additionally requires the bound property maps to be
-    numeric (checked at bind time by the vector-shape recognizer).
+    A reader of the planner's one decision, ``plan.confluence``: the round
+    fuses when the action is an extremum update whose candidate is
+    source-local.  The vector tier additionally requires the bound maps to
+    be numeric (checked at bind time by the vector-shape recognizer).
     """
-
-    def no(reason: str) -> FusionReport:
-        return FusionReport(False, reason)
-
-    if plan.mode != "optimized" or len(plan.cond_plans) != 1:
-        return no("needs optimized mode with a single condition")
-    cp = plan.cond_plans[0]
-    if not cp.merged or cp.next_on_false is not None or cp.next_group is not None:
-        return no("eval and modify must merge with no else branch")
-    gen = plan.action.generator
-    if gen is None or not gen.is_builtin or gen.source not in ("out_edges", "adj"):
-        return no("needs a builtin out_edges/adj generator")
-    steps = cp.steps
-    eval_steps = [i for i, s in enumerate(steps) if s.kind == "eval"]
-    if len(eval_steps) != 1 or eval_steps[0] != len(steps) - 1:
-        return no("needs exactly one eval step, last")
-    input_key = plan.action.input.key()
-    for s in steps[: eval_steps[0]]:
-        if s.kind != "gather" or unalias(s.locality).key() != input_key:
-            return no("pre-eval gathers must all run at the input vertex")
-    eval_step = steps[eval_steps[0]]
-    neighbour = TrgOf(gen.var) if gen.source == "out_edges" else gen.var
-    if unalias(eval_step.locality).key() != neighbour.key():
-        return no("eval must run at the generated neighbour")
-    test = unalias(eval_step.test) if eval_step.test is not None else None
-    if not isinstance(test, Compare) or test.op not in ("<", "<=", ">", ">="):
-        return no("test must be an ordering comparison")
-    left, right = unalias(test.left), unalias(test.right)
-
-    def is_target_read(e: Expr) -> bool:
-        return isinstance(e, PropRead) and unalias(e.index).key() == neighbour.key()
-
-    if is_target_read(right) and not is_target_read(left):
-        target_read, cand = right, left
-    elif is_target_read(left) and not is_target_read(right):
-        target_read, cand = left, right
-    else:
-        return no("test must compare a neighbour property against a candidate")
-    if not _source_local(cand, gen.source):
-        return no("candidate must be computable at the input vertex")
-    mods = eval_step.mods
-    if len(mods) != 1 or type(mods[0]).__name__ != "Assign":
-        return no("needs a single assignment modification")
-    mod = mods[0]
-    if (
-        mod.target.key() != target_read.key()
-        or unalias(mod.value).key() != unalias(cand).key()
-    ):
-        return no("assignment must install the compared candidate (extremum)")
+    m = plan.confluence
+    if m is None:
+        return FusionReport(False, plan.confluence_reason)
+    if not m.source_local:
+        return FusionReport(False, "candidate must be computable at the input vertex")
     return FusionReport(True, "source-local candidate + confluent extremum update")
 
 

@@ -41,6 +41,7 @@ from .errors import PlanningError, PatternValidationError
 from .expr import (
     BinOp,
     Call,
+    Compare,
     Const,
     Expr,
     PropRead,
@@ -48,7 +49,12 @@ from .expr import (
     TrgOf,
     unalias,
 )
-from .locality import LocalityAnalysis, LocalityTree, required_localities
+from .locality import (
+    LocalityAnalysis,
+    LocalityTree,
+    is_source_local,
+    required_localities,
+)
 
 MODES = ("optimized", "naive")
 
@@ -155,6 +161,87 @@ class CondPlan:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Extremum:
+    """An action whose only condition is a confluent extremum update.
+
+    ``target = cand`` when ``cand < target`` (or ``<=``, ``>``, ``>=``, in
+    either orientation), merged into one eval step at the generated
+    neighbour, after gathers that all run at the input vertex.  Such
+    updates commute and are idempotent: the final map and the dependent
+    set ``{t : final[t] != initial[t]}`` are the same under every delivery
+    order.  That is what licenses the vector tier's batch scatter and, when
+    the candidate is also source-local, fusing the gather -> evaluate round
+    (:func:`~repro.patterns.locality.fusion_report`).
+    """
+
+    steps: tuple  # the condition's steps; the eval step is last
+    neighbour: Expr  # where the eval step runs: ``trg(e)`` or ``u``
+    target: PropRead  # the property compared and assigned at the neighbour
+    cand: Expr  # the candidate compared and installed
+    minimize: bool  # the update keeps the smaller value
+    source_local: bool  # cand is computable at the input vertex
+
+    @property
+    def eval_si(self) -> int:
+        return len(self.steps) - 1
+
+
+def match_extremum(
+    action: Action, mode: str, cond_plans: list[CondPlan]
+) -> tuple[Optional[Extremum], str]:
+    """The structural match for :class:`Extremum`: ``(match, "")``, or
+    ``(None, reason)`` naming the first requirement the plan misses."""
+    if mode != "optimized" or len(cond_plans) != 1:
+        return None, "needs optimized mode with a single condition"
+    cp = cond_plans[0]
+    if not cp.merged or cp.next_on_false is not None or cp.next_group is not None:
+        return None, "eval and modify must merge with no else branch"
+    gen = action.generator
+    if gen is None or not gen.is_builtin or gen.source not in ("out_edges", "adj"):
+        return None, "needs a builtin out_edges/adj generator"
+    steps = cp.steps
+    if [s.kind for s in steps].count("eval") != 1 or steps[-1].kind != "eval":
+        return None, "needs exactly one eval step, last"
+    input_key = action.input.key()
+    if any(s.kind != "gather" or s._loc_key != input_key for s in steps[:-1]):
+        return None, "pre-eval gathers must all run at the input vertex"
+    eval_step = steps[-1]
+    neighbour = TrgOf(gen.var) if gen.source == "out_edges" else gen.var
+    if eval_step._loc_key != neighbour.key():
+        return None, "eval must run at the generated neighbour"
+    test = unalias(eval_step.test) if eval_step.test is not None else None
+    if not isinstance(test, Compare) or test.op not in ("<", "<=", ">", ">="):
+        return None, "test must be an ordering comparison"
+    left, right = unalias(test.left), unalias(test.right)
+
+    def is_target_read(e: Expr) -> bool:
+        return isinstance(e, PropRead) and unalias(e.index).key() == neighbour.key()
+
+    if is_target_read(right) and not is_target_read(left):
+        target, cand = right, left
+        minimize = test.op in ("<", "<=")  # cand < cur: keep the min
+    elif is_target_read(left) and not is_target_read(right):
+        target, cand = left, right
+        minimize = test.op in (">", ">=")  # cur > cand: keep the min
+    else:
+        return None, "test must compare a neighbour property against a candidate"
+    mods = eval_step.mods
+    if len(mods) != 1 or not isinstance(mods[0], Assign):
+        return None, "needs a single assignment modification"
+    mod = mods[0]
+    if mod.target.key() != target.key() or unalias(mod.value).key() != cand.key():
+        return None, "assignment must install the compared candidate (extremum)"
+    return Extremum(
+        steps=tuple(steps),
+        neighbour=neighbour,
+        target=target,
+        cand=cand,
+        minimize=minimize,
+        source_local=is_source_local(cand, gen.source),
+    ), ""
+
+
 @dataclass
 class ActionPlan:
     """The full compiled form of an action."""
@@ -165,6 +252,10 @@ class ActionPlan:
     cond_plans: list[CondPlan]
     base_keys: set  # env keys available right after the generator step
     dependent_props: set
+    #: The order-free update class the action proves, read by every tier
+    #: that reorders or merges updates; only :class:`Extremum` exists yet.
+    confluence: Optional[Extremum] = None
+    confluence_reason: str = ""  # why ``confluence`` is None
 
     def first_cond(self) -> int:
         return 0
@@ -174,18 +265,13 @@ class ActionPlan:
         condition's true branch (distinct-locality assumption).
 
         With ``fused=True``, count as the vector fast path executes when
-        :func:`~repro.patterns.locality.fusion_report` proves the
-        gather -> evaluate pair fusable: the evaluate hop is performed
-        inline at the source rank, so one message round disappears from
-        the straight-line count.
+        the plan's extremum update has a source-local candidate: the
+        evaluate hop is performed inline at the source rank, so one
+        message round disappears from the straight-line count.
         """
         base = sum(cp.static_message_count() for cp in self.cond_plans)
-        if fused:
-            from .locality import fusion_report
-
-            if fusion_report(self).fusable:
-                base -= 1
-        return base
+        m = self.confluence
+        return base - 1 if fused and m is not None and m.source_local else base
 
     def describe(self) -> str:
         lines = [
@@ -325,6 +411,7 @@ class Planner:
         for cp in cond_plans:
             for s in cp.steps:
                 s.finalize()
+        confluence, reason = match_extremum(self.action, self.mode, cond_plans)
         return ActionPlan(
             action=self.action,
             mode=self.mode,
@@ -332,6 +419,8 @@ class Planner:
             cond_plans=cond_plans,
             base_keys=base,
             dependent_props=self.action.dependent_props(),
+            confluence=confluence,
+            confluence_reason=reason,
         )
 
     # -- validation ---------------------------------------------------------------

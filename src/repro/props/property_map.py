@@ -221,10 +221,17 @@ class VertexPropertyMap:
         before = arr[local_idx]  # fancy indexing copies
         if self.dirty is not None:
             self.dirty.mark_array(rank, local_idx)
+        idx = local_idx
+        # ``cand < cur`` is False for a NaN candidate, so it never wins;
+        # ``np.minimum`` would propagate it.  A sum of squares is NaN iff
+        # some value is, and is the cheapest probe (one call per batch).
+        if values.dtype.kind == "f" and (sq := values.dot(values)) != sq:
+            ok = ~np.isnan(values)
+            idx, values = local_idx[ok], values[ok]
         if minimize:
-            np.minimum.at(arr, local_idx, values)
+            np.minimum.at(arr, idx, values)
             return arr[local_idx] < before
-        np.maximum.at(arr, local_idx, values)
+        np.maximum.at(arr, idx, values)
         return arr[local_idx] > before
 
     def __len__(self) -> int:

@@ -6,11 +6,15 @@ root, ``src/``, ``src/repro/`` or the document's own directory.  Inside
 fenced code blocks only paths with a directory part are checked: bare
 names there are command-line outputs (``--trace-out t.json``).  DESIGN.md
 §3's module map is checked both ways: every entry exists, and every
-module under ``src/repro/`` has an entry.
+module under ``src/repro/`` has an entry.  A symbol named as
+``path.py::Name`` or ``path.py::Class.attr`` must be defined at the top
+level of that file (and ``attr`` in the class body), found by parsing the
+file, never importing it.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -48,6 +52,59 @@ def test_checker_flags_a_deleted_module():
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_named_paths_exist(doc):
     assert missing_paths(doc.read_text(), doc.parent) == []
+
+
+_SYMBOL = re.compile(r"((?:[\w.-]+/)*[\w.-]*\w\.py)::(\w+(?:\.\w+)?)")
+
+
+def _defined(body: list) -> dict[str, ast.AST]:
+    """Names a module or class body binds, to their defining node."""
+    names: dict[str, ast.AST] = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    names[t.id] = node
+    return names
+
+
+def missing_symbols(text: str, doc_dir: Path) -> list[str]:
+    """``path.py::Name[.attr]`` references in ``text`` whose file exists
+    but does not define the name, in order of mention (a missing file is
+    :func:`missing_paths`' finding)."""
+    missing = []
+    for m in _SYMBOL.finditer(text):
+        path, symbol = m.group(1), m.group(2)
+        files = [base / path for base in (ROOT, ROOT / "src", PKG, doc_dir)]
+        file = next((f for f in files if f.is_file()), None)
+        if file is None:
+            continue
+        name, _, attr = symbol.partition(".")
+        node = _defined(ast.parse(file.read_text()).body).get(name)
+        in_class = isinstance(node, ast.ClassDef) and attr in _defined(node.body)
+        if node is None or (attr and not in_class):
+            missing.append(m.group(0))
+    return missing
+
+
+def test_checker_flags_a_missing_symbol():
+    text = (
+        "`patterns/planner.py::ActionPlan.confluence`, "
+        "`patterns/planner.py::ActionPlan.nope`, "
+        "`patterns/planner.py::NoSuchThing` and `runtime/wire.py::WireBatch`"
+    )
+    assert missing_symbols(text, ROOT) == [
+        "patterns/planner.py::ActionPlan.nope",
+        "patterns/planner.py::NoSuchThing",
+    ]
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_named_symbols_exist(doc):
+    assert missing_symbols(doc.read_text(), doc.parent) == []
 
 
 def module_map() -> set[str]:
