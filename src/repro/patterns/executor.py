@@ -20,8 +20,9 @@ Dependency detection (Sec. IV-C): when an action both reads and writes a
 property map, any actual change of that map's value marks the written
 vertex dependent and calls the action's ``work`` hook — the customization
 point strategies use (``fixed_point`` re-runs the action, Delta-stepping
-re-buckets the vertex).  The vector tier discovers dependents one envelope
-at a time and hands the whole array to ``work_many``.
+re-buckets the vertex).  The vector tier discovers dependents one delivery
+(an envelope, or several merged ones) at a time and hands the whole array
+to ``work_many``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .expr import (
 from ..runtime.coalescing import CoalescingLayer
 from .fastpath import _MISSING, compile_steps, recognize_vector_shape
 from .pattern import Pattern, PropertyDecl, default_for
-from .planner import ActionPlan, compile_action
+from .planner import ActionPlan, Extremum, compile_action
 
 WorkHook = Callable[..., None]  # work(ctx, vertex); work_many(ctx, int64 array)
 
@@ -131,7 +132,7 @@ class BoundAction:
         #: Assigning it resets :attr:`work_many` (see the property below).
         self._work: Optional[WorkHook] = None
         #: Batch form of the hook: ``work_many(ctx, vertices)`` receives
-        #: the dependents one envelope discovered (an int64 array, all
+        #: the dependents one delivery discovered (an int64 array, all
         #: owned by ``ctx.rank``) in one call.  ``None`` = call ``work``
         #: per vertex.
         self._work_many: Optional[WorkHook] = None
@@ -188,6 +189,9 @@ class BoundAction:
         )
         if self.vector_plan is not None:
             self.mtype.batch_handler = self._batch_handler
+            # Merged delivery reorders envelopes: legal only where the
+            # planner proved the update confluent.
+            self.mtype.order_free = isinstance(plan.confluence, Extremum)
 
     @property
     def _fused(self) -> bool:
@@ -229,7 +233,7 @@ class BoundAction:
         self.bound.machine.transport.hooks_changed()
 
     def fire_work(self, ctx, vertices: np.ndarray) -> None:
-        """Hand one envelope's dependents to the installed hook."""
+        """Hand one delivery's dependents to the installed hook."""
         many = self._work_many
         if many is not None:
             many(ctx, vertices)
@@ -806,6 +810,23 @@ class BoundAction:
     def reset_counters(self) -> None:
         self.change_count = 0
         self.assign_count = 0
+
+    def release(self) -> None:
+        """Let go of the binding once the machine has shut down.
+
+        The walkers, kernels, work hooks and the back reference to the
+        pattern each close a reference cycle through this action, so the
+        maps they reach would outlive the caller's last reference until
+        the next cyclic collection.  Counters and :meth:`describe` keep
+        working; the action can no longer run.
+        """
+        self.mtype.batch_handler = None
+        self.mtype.order_free = False
+        self.bound = None
+        self.vector_plan = None
+        self._compiled = None
+        self._walk_fn = None
+        self._work = self._work_many = None
 
 
 class BoundPattern:

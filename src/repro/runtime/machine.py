@@ -598,6 +598,14 @@ class Machine:
             self.observer.stop()
             self.observer = None
         self.transport.shutdown()
+        # Bindings sit in reference cycles with this machine: release
+        # them so their maps are freed when the caller drops them, not at
+        # the next cyclic collection.
+        for mtype in self.registry:
+            release = getattr(getattr(mtype.handler, "__self__", None), "release", None)
+            if release is not None:
+                release()
+        self.bound_patterns.clear()
 
     def __enter__(self) -> "Machine":
         return self

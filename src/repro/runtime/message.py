@@ -80,6 +80,12 @@ class MessageType:
         #: per payload.  Installed by the pattern executor when a plan is
         #: recognized as vectorizable (``fast_path="vector"``).
         self.batch_handler: Optional[Callable[["HandlerContext", tuple], None]] = None  # noqa: F821
+        #: True when ``batch_handler``'s final result cannot depend on
+        #: delivery order (a confluent min/max update): the transport may
+        #: then hand it several queued column envelopes in one call
+        #: (:meth:`~repro.runtime.transport.Transport.merge_room`).  Set by
+        #: the pattern executor beside ``batch_handler``.
+        self.order_free = False
         # Layers (coalescing / caching / reduction) installed on this type,
         # outermost first.  ``send`` traverses these before hitting the wire.
         self.layers: list[Any] = []

@@ -76,7 +76,7 @@ from .reliable import AckEnvelope
 from .health import HealthStats
 from .stats import ChaosStats, EpochStats, FusionStats, TypeStats
 from .termination import BLACK, FourCounterDetector, SafraDetector
-from .transport import HandlerContext, Transport
+from .transport import HandlerContext, Transport, merge_key
 from .wire import WireCodec, WireStats
 
 _FORK = get_context("fork")
@@ -189,6 +189,8 @@ class ProcessTransport(Transport):
         # Worker-only state (populated in _post_fork_init).
         self._me = -1
         self._local: deque = deque()
+        #: Decoded inbox frames read ahead by a merged delivery.
+        self._held: deque = deque()
         self._feedback: dict[int, list] = {}
         self._last_ff = 0.0
         _LIVE.add(self)
@@ -320,6 +322,9 @@ class ProcessTransport(Transport):
                 pass
             self._stop_workers()
         self._release_shm()
+        # The privatized maps belong to the caller now.
+        self._adopted = []
+        self._bound_action_cache.clear()
 
     def invalidate_graph(self) -> None:
         """Quiesce and release shared state ahead of a graph mutation.
@@ -442,7 +447,7 @@ class ProcessTransport(Transport):
             # baseline is codec-free, and multi-rank local traffic pays
             # zero serialization.
             self._posted_np[me, me] += 1
-            self._local.append((env, batch))
+            self._local.append(("msg", env, batch))
             return
         frame = self.codec.encode(env, batch)
         self._posted_np[me, env.dest] += 1
@@ -832,20 +837,23 @@ class ProcessTransport(Transport):
         try:
             self._post_fork_init(rank)
             inbox = self._inboxes[rank]
+            held, local = self._held, self._local
             while True:
-                if self._local:
-                    env, batch = self._local.popleft()
-                    self._handle_counted(env, batch)
-                    continue
-                try:
-                    frame = inbox.get(timeout=_POLL_S)
-                except queue.Empty:
+                # Same-rank sends wait in ``local`` in decoded form.
+                if held:
+                    decoded = held.popleft()
+                elif local:
+                    decoded = local.popleft()
+                else:
                     try:
-                        self._worker_idle()
-                    except Exception:
-                        self._ship_error(traceback.format_exc())
-                    continue
-                decoded = self.codec.decode(frame)
+                        frame = inbox.get(timeout=_POLL_S)
+                    except queue.Empty:
+                        try:
+                            self._worker_idle()
+                        except Exception:
+                            self._ship_error(traceback.format_exc())
+                        continue
+                    decoded = self.codec.decode(frame)
                 if decoded[0] == "ctrl":
                     obj = decoded[1]
                     if obj[0] == "stop":
@@ -854,7 +862,7 @@ class ProcessTransport(Transport):
                         self._ship_sync()
                     continue
                 _, env, batch = decoded
-                self._handle_counted(env, batch)
+                self._handle_counted(env, batch, self._take_mergeable(env, batch, inbox))
         except BaseException:
             try:
                 self._ship_error(traceback.format_exc())
@@ -862,11 +870,65 @@ class ProcessTransport(Transport):
                 pass
             os._exit(1)
 
+    def _take_mergeable(self, env, batch: bool, inbox) -> tuple:
+        """The envelopes waiting at this worker that may join ``env``'s
+        delivery (:meth:`Transport.merge_room`), until the merged rows
+        reach the cap: first from frames already taken off the inbox,
+        then from rank-local sends, then from the inbox itself.
+
+        Inbox frames that do not match wait in ``_held`` and are delivered
+        next, in arrival order.  A control frame ends the inbox read: it
+        is handled after everything that arrived before it.
+        """
+        key, room = self.merge_room(env, batch)
+        if key is None:
+            return ()
+        type_id = env.type_id
+        taken: list = []
+
+        def joins(decoded) -> bool:
+            return (
+                decoded[0] != "ctrl"
+                and decoded[2]
+                and decoded[1].type_id == type_id
+                and merge_key(decoded[1].payload) == key
+            )
+
+        held = self._held
+        for box in (held, self._local):
+            kept: list = []
+            for decoded in box:
+                if room > 0 and joins(decoded):
+                    taken.append(decoded[1])
+                    room -= decoded[1].payload.nrows
+                else:
+                    kept.append(decoded)
+            if len(kept) < len(box):
+                box.clear()
+                box.extend(kept)
+        if held and held[-1][0] == "ctrl":
+            return tuple(taken)
+        while room > 0:
+            try:
+                frame = inbox.get_nowait()
+            except queue.Empty:
+                break
+            decoded = self.codec.decode(frame)
+            if joins(decoded):
+                taken.append(decoded[1])
+                room -= decoded[1].payload.nrows
+                continue
+            held.append(decoded)
+            if decoded[0] == "ctrl":
+                break
+        return tuple(taken)
+
     def _post_fork_init(self, rank: int) -> None:
         machine = self.machine
         self._worker_rank = rank
         self._me = rank
         self._local = deque()
+        self._held = deque()
         self._feedback = {}
         self._last_ff = time.monotonic()
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -965,9 +1027,12 @@ class ProcessTransport(Transport):
 
         return _append, _extend
 
-    def _handle_counted(self, env, batch: bool) -> None:
+    def _handle_counted(self, env, batch: bool, more: tuple = ()) -> None:
         try:
-            self.run_handler(env, batch)  # instance attr: chaos-patched
+            if more:
+                self.run_handler(env, batch, more)
+            else:
+                self.run_handler(env, batch)  # instance attr: chaos-patched
         except Exception:
             self._ship_error(traceback.format_exc())
         finally:
@@ -976,7 +1041,7 @@ class ProcessTransport(Transport):
             # ledger: the parent must never observe posted == done while
             # this worker still owes limbo releases or retries.
             self._publish_extra()
-            self._done_np[self._me] += 1
+            self._done_np[self._me] += 1 + len(more)
         ch = self.machine.chaos
         if ch is not None:
             try:

@@ -2,7 +2,10 @@
 
 ``SimTransport`` models ``n_ranks`` distributed-memory ranks inside one
 process.  Each rank has a FIFO mailbox; a single progress engine repeatedly
-picks a rank according to a *scheduling policy* and runs one handler there.
+picks a rank according to a *scheduling policy* and delivers the envelope
+at the head of its mailbox there — together with every queued column
+envelope that may join it in one batch-handler call
+(:meth:`~repro.runtime.transport.Transport.merge_room`).
 Given the same seed and policy every run is bit-identical, which makes the
 distributed algorithms in this package unit-testable and the message-count
 benchmarks exactly reproducible.
@@ -31,11 +34,12 @@ are a function of ``(seed, policy)`` alone.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Optional
 
 from .chaos import derive_rng
 from .message import Envelope
-from .transport import HandlerContext, Transport
+from .transport import HandlerContext, Transport, merge_key
 
 SCHEDULES = ("round_robin", "random", "fifo", "lifo")
 
@@ -185,12 +189,14 @@ class SimTransport(Transport):
         return -1  # pragma: no cover - unreachable (nonempty checked)
 
     # -- progress ---------------------------------------------------------------
-    def step(self) -> bool:
-        """Run a single handler somewhere; False if no message is waiting."""
+    def step(self) -> int:
+        """Deliver at one rank; returns the envelopes taken there (0 when
+        no message is waiting)."""
         r = self._pick_rank()
         if r < 0:
-            return False
-        _, env, batch, at = self._mailboxes[r].popleft()
+            return 0
+        box = self._mailboxes[r]
+        _, env, batch, at = box.popleft()
         if at != env.dest:
             # intermediate hypercube hop: forward one bit closer
             self.machine.stats.count_forward()
@@ -198,9 +204,44 @@ class SimTransport(Transport):
             if self.hop_observer is not None:
                 self.hop_observer(at, nxt)
             self._put(env, batch, nxt)
-            return True
+            return 1
+        more = self._take_mergeable(box, env, batch)
+        if more:
+            self.run_handler(env, batch, more)
+            return 1 + len(more)
         self.run_handler(env, batch)
-        return True
+        return 1
+
+    def _take_mergeable(self, box: deque, env: Envelope, batch: bool) -> tuple:
+        """Take the column envelopes queued in ``box`` that may join
+        ``env``'s delivery (:meth:`Transport.merge_room`): same type and
+        :func:`~repro.runtime.transport.merge_key`, already at their
+        destination (a hypercube forward is not), until the merged rows
+        reach the cap.  The envelopes left behind keep their order."""
+        key, room = self.merge_room(env, batch)
+        if key is None:
+            return ()
+        taken: list = []
+        kept: list = []
+        for i, item in enumerate(box):
+            if room <= 0:
+                kept.extend(islice(box, i, None))
+                break
+            e = item[1]
+            if (
+                item[2]
+                and e.type_id == env.type_id
+                and item[3] == e.dest
+                and merge_key(e.payload) == key
+            ):
+                taken.append(e)
+                room -= e.payload.nrows
+            else:
+                kept.append(item)
+        if taken:
+            box.clear()
+            box.extend(kept)
+        return tuple(taken)
 
     def drain(self, budget: Optional[int] = None) -> int:
         """Run handlers until quiescence (mailboxes and layer buffers empty).
@@ -219,8 +260,8 @@ class SimTransport(Transport):
         ran = 0
         limit = budget if budget is not None else self._max_handlers
         while True:
-            while self.step():
-                ran += 1
+            while n := self.step():
+                ran += n
                 if limit is not None and ran > limit:
                     raise RuntimeError(
                         f"drain exceeded handler budget ({limit}); "
@@ -247,10 +288,11 @@ class SimTransport(Transport):
         """
         ran = 0
         while ran < max_handlers:
-            if not self.step():
+            n = self.step()
+            if not n:
                 if self.pending_layer_items() == 0:
                     break
                 self.flush_layers()
                 continue
-            ran += 1
+            ran += n
         return ran

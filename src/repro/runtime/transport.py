@@ -28,6 +28,26 @@ from .wire import WireBatch
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
 
+#: Most rows one merged delivery gathers (:meth:`Transport.merge_room`):
+#: envelopes join while the merged batch is below this.  0 delivers every
+#: envelope on its own.
+MERGE_ROWS = 2048
+
+
+def merge_key(payload) -> Optional[tuple]:
+    """What a queued envelope must share with another to join its delivery.
+
+    Only column batches merge, and only with batches of the same width
+    and the same constant condition column (pattern payloads lead with
+    ``(address, condition, step)``; ``-1`` marks generator starts), so
+    starts never mix with eval-step rows even when both are 3 wide.
+    ``None`` for row-tuple envelopes and mixed batches.
+    """
+    if type(payload) is not WireBatch:
+        return None
+    ci = payload.col_const(1)
+    return None if ci is None else (payload.ncols, ci)
+
 
 class HandlerContext:
     """Execution context passed to message handlers.
@@ -204,7 +224,31 @@ class Transport:
             layer.pending() for mtype in self.machine.registry for layer in mtype.layers
         )
 
-    def run_handler(self, env: Envelope, batch: bool) -> None:
+    def merge_room(self, env: Envelope, batch: bool) -> tuple:
+        """``(key, rows)``: the :func:`merge_key` a queued envelope needs to
+        join ``env``'s delivery and how many more rows may join; ``key`` is
+        None when nothing may.
+
+        The one legality test of a merged delivery.  Merging reorders
+        delivery, so it needs a batch handler whose result is order-free
+        (``MessageType.order_free``).  It also needs every envelope to stay
+        individually observable where something watches it: spans off
+        (:meth:`Telemetry.deliver` opens a span per envelope) and no chaos
+        layer (reliable delivery acks and dedups per envelope).
+        """
+        machine = self.machine
+        if (
+            batch
+            and machine.chaos is None
+            and not machine.telemetry.spans_on
+            and machine.registry.by_id(env.type_id).order_free
+        ):
+            key = merge_key(env.payload)
+            if key is not None and env.payload.nrows < MERGE_ROWS:
+                return key, MERGE_ROWS - env.payload.nrows
+        return None, 0
+
+    def run_handler(self, env: Envelope, batch: bool, more: tuple = ()) -> None:
         """Dispatch one envelope at its destination rank.
 
         Coalesced envelopes (``batch=True``) carry a tuple of payload tuples
@@ -215,6 +259,12 @@ class Transport:
         array kernels; otherwise the scalar handler runs once per payload.
         Either way, handler-call counts reflect the number of *logical*
         payloads so the paper's message-cost model is unchanged.
+
+        ``more`` holds further column envelopes of the same type, width
+        and rank that the transport merged into this delivery
+        (:meth:`merge_room`): the batch handler runs once on the rows of
+        all of them, while the detector, statistics and health accounting
+        still count every envelope.
         """
         tel = self.machine.telemetry
         if tel.spans_on:
@@ -223,16 +273,25 @@ class Transport:
             tel.deliver(self, env, batch)
             return
         mtype = self.machine.registry.by_id(env.type_id)
+        name = mtype.name
         ctx = self.context_for(env.dest)
         stats = self.machine.stats
-        self.machine.detector.on_receive(env.dest)
+        detector = self.machine.detector
+        detector.on_receive(env.dest)
         t0 = perf_counter()
         if batch:
             payloads = env.payload
             n = len(payloads)
             bh = mtype.batch_handler
-            stats.count_handler(mtype.name, n)
-            stats.count_batch_delivery(mtype.name, n, vectorized=bh is not None)
+            stats.count_handler(name, n)
+            stats.count_batch_delivery(name, n, vectorized=bh is not None)
+            if more:
+                for e in more:
+                    k = len(e.payload)
+                    detector.on_receive(e.dest)
+                    stats.count_handler(name, k)
+                    stats.count_batch_delivery(name, k, vectorized=True, joined=True)
+                payloads = WireBatch.concat([payloads, *(e.payload for e in more)])
             if bh is not None:
                 bh(ctx, payloads)
             else:
@@ -241,13 +300,21 @@ class Transport:
                     handler(ctx, item)
         else:
             n = 1
-            stats.count_handler(mtype.name)
+            stats.count_handler(name)
             mtype.handler(ctx, env.payload)
         dt = perf_counter() - t0
-        stats.add_handler_time(mtype.name, dt)
+        stats.add_handler_time(name, dt)
         health = self.machine.health
         if health.enabled:
-            health.note_delivery(env.dest, n, dt)
+            if more:
+                # One note per envelope; the call's time shared by rows.
+                per_row = dt / (n + sum(len(e.payload) for e in more))
+                health.note_delivery(env.dest, n, per_row * n)
+                for e in more:
+                    k = len(e.payload)
+                    health.note_delivery(env.dest, k, per_row * k)
+            else:
+                health.note_delivery(env.dest, n, dt)
 
     def context_for(self, rank: int) -> HandlerContext:
         raise NotImplementedError

@@ -32,6 +32,7 @@ from repro.algorithms.sssp import (
 from repro.graph import build_graph, erdos_renyi, rmat, uniform_weights
 from repro.patterns import bind
 from repro.runtime import ChaosConfig
+from repro.runtime import transport as transport_mod
 from repro.runtime.machine import FAST_PATHS, Machine
 from repro.runtime.wire import WireBatch
 
@@ -573,7 +574,11 @@ def logical_stats(machine):
     return strip(machine.stats.checkpoint_state())
 
 
-def test_columnar_path_matches_row_fallback_sim():
+def test_columnar_path_matches_row_fallback_sim(monkeypatch):
+    # The spans-on side never merges queued envelopes, so deliver the
+    # columnar side one envelope per call too; merged delivery has its
+    # own gate in test_merged_delivery.py.
+    monkeypatch.setattr(transport_mod, "MERGE_ROWS", 0)
     g, wbg, s, t, w, source = columnar_instance()
     ref = dijkstra_reference(g.n_vertices, s, t, w, source)
     out_degree = np.bincount(s, minlength=g.n_vertices)
