@@ -1,16 +1,19 @@
 """Chaos transport: deterministic, seeded fault injection on the wire.
 
 :class:`ChaosTransport` decorates any :class:`~repro.runtime.transport.
-Transport` instance (sim or threads) by intercepting the three points
+Transport` instance (sim or threads) by intercepting the points
 where a transport touches the physical network:
 
 * ``_enqueue`` — every envelope offered to the wire runs through the
   fault pipeline (drop / duplicate / delay / reorder / split / stall);
-* ``run_handler`` — deliveries pass through the reliability layer's
-  dedup + ack logic before the real handler runs;
+* ``pending_messages`` — limbo and unacked retransmissions count as
+  outstanding work, so termination probes stay honest;
 * the progress engine (``step`` on the sim transport, ``drain`` on the
   thread transport) — advances the chaos **tick clock**, releases
   delayed envelopes from limbo, and fires due retransmissions.
+
+Delivery is not intercepted: ``Transport.run_handler`` calls
+:meth:`ChaosTransport.admit` (ack consumption, dedup, re-ack) first.
 
 Faults are injected *below* the message layers (caching / reduction /
 coalescing) and *below* statistics and termination accounting: a logical
@@ -185,9 +188,13 @@ class ChaosConfig:
 class ChaosTransport:
     """Installs fault injection (and optionally reliability) on a transport.
 
-    The decorator patches the *instance* it wraps, so every internal call
-    site — layer flushes, ``wire_batch``, the drain loops — routes
-    through the chaotic wire without the rest of the runtime knowing.
+    The decorator intercepts ``_enqueue`` (the fault pipeline),
+    ``pending_messages`` (limbo and unacked retries) and the progress
+    engine (``step`` on sim, ``drain`` on threads) on the *instance* it
+    wraps, so every internal call site — layer flushes, ``wire_batch``,
+    the drain loops — routes through the chaotic wire without the rest
+    of the runtime knowing.  Delivery admission is not patched in:
+    ``Transport.run_handler`` calls :meth:`admit` explicitly.
     ``machine.transport`` keeps its concrete type (``isinstance`` checks,
     ``hop_observer`` wiring and SPMD mode are unaffected); the controller
     is reachable as ``machine.chaos`` / ``transport.chaos``.
@@ -247,10 +254,8 @@ class ChaosTransport:
         self._lock = threading.RLock()
         # -- install intercepts on the wrapped instance --------------------
         self._orig_enqueue = transport._enqueue
-        self._orig_run_handler = transport.run_handler
         self._orig_pending = transport.pending_messages
         transport._enqueue = self._enqueue
-        transport.run_handler = self._run_handler
         transport.pending_messages = self._pending_messages
         if hasattr(transport, "step"):  # sim: tick per scheduler step
             self._orig_step = transport.step
@@ -423,27 +428,33 @@ class ChaosTransport:
         self._limbo_n += 1
         heapq.heappush(self._limbo, (release, self._limbo_n, env, batch))
 
-    # -- delivery interception -----------------------------------------------------
-    def _run_handler(self, env, batch: bool) -> None:
+    # -- delivery admission ------------------------------------------------------
+    def admit(self, env) -> Optional[Envelope]:
+        """The envelope whose handler a delivery of ``env`` runs, or None.
+
+        Called by ``Transport.run_handler`` before anything else: an ack
+        retires its retransmission and runs no handler; a reliable
+        envelope is acked (every copy: the first ack may be lost, and
+        only a re-ack of the suppressed duplicate can retire the retry),
+        then unwrapped if fresh or suppressed if a duplicate.
+        """
         if env.type_id == ACK_TYPE_ID:
             if self.reliable is not None:
                 self.reliable.on_ack(env)
             self.stats.count_chaos("acks_delivered")
-            return
+            return None
         if isinstance(env, ReliableEnvelope):
             assert self.reliable is not None
             fresh = self.reliable.accept(env)
-            # Ack every copy: the first ack may be lost, and only a
-            # re-ack of the suppressed duplicate can retire the retry.
             self.stats.count_chaos("acks_sent")
             ack = self.reliable.make_ack(env, env.dest)
             with self._lock:
                 self._offer(ack, False)
             if not fresh:
                 self.stats.count_chaos("duplicates_suppressed")
-                return
-            env = env.env
-        self._orig_run_handler(env, batch)
+                return None
+            return env.env
+        return env
 
     # -- progress ---------------------------------------------------------------
     def _pump(self) -> None:
@@ -635,16 +646,3 @@ class ChaosTransport:
             # is in flight (the delivered copy may have been dropped).
             extra += self.reliable.in_flight()
         return base + extra
-
-    # -- teardown ----------------------------------------------------------------
-    def uninstall(self) -> None:
-        """Restore the wrapped transport's original methods."""
-        t = self.inner
-        t._enqueue = self._orig_enqueue
-        t.run_handler = self._orig_run_handler
-        t.pending_messages = self._orig_pending
-        if hasattr(self, "_orig_step"):
-            t.step = self._orig_step
-        if hasattr(self, "_orig_drain"):
-            t.drain = self._orig_drain
-        t.chaos = None

@@ -147,9 +147,8 @@ class HealthMonitor:
 
     The hot-path surface is exactly one method — :meth:`note_delivery`,
     called once per delivered *envelope* (never per logical payload) from
-    both delivery twins (``Transport.run_handler`` and the spans-level
-    ``Telemetry.deliver``), reusing the ``perf_counter`` values those
-    paths already computed.  Everything else runs at epoch boundaries,
+    the one delivery path, ``Transport.run_handler``, reusing the
+    ``perf_counter`` values it already computed.  Everything else runs at epoch boundaries,
     on the heartbeat thread, or on scrape.
     """
 

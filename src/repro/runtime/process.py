@@ -36,9 +36,10 @@ Design (docs/RUNTIME.md has the long-form version):
   cost stays observable.
 * **Composition.**  Layers (coalescing/caching/reductions), telemetry
   spans, reliable delivery, chaos injection (except rank crashes) and
-  checkpoint *capture* all ride along unchanged: they already talk to the
-  transport through ``_enqueue`` / ``run_handler`` / ``drain``, which this
-  class implements for both the parent and the workers.  Dependency work
+  checkpoint *capture* all ride along unchanged.  Parent and workers
+  deliver through the shared ``Transport.run_handler``, which opens
+  spans and runs chaos admission itself; chaos intercepts only
+  ``_enqueue`` / ``pending_messages`` / ``drain``.  Dependency work
   hooks (bucket insertion, fixed-point re-sends) execute parent-side via
   counted feedback frames, since closures over driver state cannot run in
   a forked child.
@@ -618,8 +619,7 @@ class ProcessTransport(Transport):
                 continue
             _, env, batch = decoded
             # Driver-channel acks (and any future parent-destined
-            # traffic) go through the normal — possibly chaos-patched —
-            # delivery path.
+            # traffic) take the one delivery path.
             self.run_handler(env, batch)
             self._done_np[self._P] += 1
 
@@ -1029,10 +1029,7 @@ class ProcessTransport(Transport):
 
     def _handle_counted(self, env, batch: bool, more: tuple = ()) -> None:
         try:
-            if more:
-                self.run_handler(env, batch, more)
-            else:
-                self.run_handler(env, batch)  # instance attr: chaos-patched
+            self.run_handler(env, batch, more)
         except Exception:
             self._ship_error(traceback.format_exc())
         finally:

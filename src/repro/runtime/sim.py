@@ -206,11 +206,8 @@ class SimTransport(Transport):
             self._put(env, batch, nxt)
             return 1
         more = self._take_mergeable(box, env, batch)
-        if more:
-            self.run_handler(env, batch, more)
-            return 1 + len(more)
-        self.run_handler(env, batch)
-        return 1
+        self.run_handler(env, batch, more)
+        return 1 + len(more)
 
     def _take_mergeable(self, box: deque, env: Envelope, batch: bool) -> tuple:
         """Take the column envelopes queued in ``box`` that may join

@@ -38,10 +38,10 @@ Span kinds
             ``msg`` span that was delivered.  Under a vectorized batch
             handler these are zero-duration logical markers whose
             ``via`` arg names the physical ``batch`` span.
-``batch``   one physical coalesced envelope executed by a vectorized
-            batch handler; ``links`` lists the msg spans it merged
-            (a batch span has many causal predecessors, so it carries
-            links rather than a single parent).
+``batch``   one batch-handler *call*, which may cover several merged
+            coalesced envelopes; ``links`` lists the msg spans of every
+            envelope it ran (a batch span has many causal predecessors,
+            so it carries links rather than a single parent).
 ``phase``   per-rank runtime phases: epoch, inject, drain, flush, probe.
 ``event``   zero-duration instants: chaos faults, retransmissions.
 
@@ -362,100 +362,47 @@ class Telemetry:
         self._register(combined, keep)
 
     # -- delivery (Transport.run_handler, level "spans") ----------------------------
-    def deliver(self, transport, env, batch: bool) -> None:
-        """Traced twin of :meth:`Transport.run_handler`.
+    # Each enter_* pushes the span a handler call runs in (``_DROPPED``
+    # when its trace was sampled out), so handler sends chain causally;
+    # leave() pops and closes it.
 
-        Runs the same statistics / detector / handler sequence as the
-        untraced path (bit-identical results), adding handle/batch spans
-        parented on the delivered msg spans and keeping the context
-        stack correct so handler-issued sends chain causally.
-        """
-        machine = self.machine
-        mtype = machine.registry.by_id(env.type_id)
-        ctx = transport.context_for(env.dest)
-        stats = machine.stats
-        machine.detector.on_receive(env.dest)
-        st = self._stack()
-        t0 = perf_counter()
-        n = 1
-        if batch:
-            payloads = env.payload
-            n = len(payloads)
-            bh = mtype.batch_handler
-            stats.count_handler(mtype.name, n)
-            stats.count_batch_delivery(mtype.name, n, vectorized=bh is not None)
-            traces = env.trace if isinstance(env.trace, tuple) else (None,) * n
-            if bh is not None:
-                parents = [s for s in traces if isinstance(s, Span)]
-                if parents:
-                    bspan = self._begin(
-                        "batch", mtype.name, env.dest, parent=None,
-                        trace=parents[0].trace,
-                        links=[s.sid for s in parents],
-                        args={"items": n},
-                    )
-                    now = perf_counter()
-                    for s in parents:
-                        s.t1 = now
-                        hs = self._begin("handle", mtype.name, env.dest,
-                                         parent=s.sid, trace=s.trace,
-                                         args={"via": bspan.sid, "vector": True})
-                        hs.t1 = hs.t0
-                    st.append(bspan)
-                    try:
-                        bh(ctx, payloads)
-                    finally:
-                        st.pop()
-                        self._end(bspan)
-                else:  # every payload's trace was sampled out
-                    st.append(_DROPPED)
-                    try:
-                        bh(ctx, payloads)
-                    finally:
-                        st.pop()
+    def enter_handle(self, name: str, rank: int, msp) -> None:
+        """A ``handle`` span for one scalar payload whose msg span is ``msp``."""
+        top = _DROPPED
+        if isinstance(msp, Span):
+            msp.t1 = perf_counter()
+            top = self._begin("handle", name, rank, parent=msp.sid, trace=msp.trace)
+        self._stack().append(top)
+
+    def enter_batch(self, name: str, rank: int, envs: tuple, items: int) -> None:
+        """A ``batch`` span for one batch-handler call on ``envs``, linking
+        every delivered msg span, each marked by a zero-length ``handle``."""
+        parents = [s for s in self.msg_spans(envs) if isinstance(s, Span)]
+        top = _DROPPED
+        if parents:
+            top = self._begin("batch", name, rank, parent=None, trace=parents[0].trace,
+                              links=[s.sid for s in parents], args={"items": items})
+            now = perf_counter()
+            for s in parents:
+                s.t1 = now
+                hs = self._begin("handle", name, rank, parent=s.sid, trace=s.trace,
+                                 args={"via": top.sid, "vector": True})
+                hs.t1 = hs.t0
+        self._stack().append(top)
+
+    def leave(self) -> None:
+        top = self._stack().pop()
+        if top is not _DROPPED:
+            self._end(top)
+
+    @staticmethod
+    def msg_spans(envs: tuple):
+        """Each row's msg span (or None) over batch envelopes ``envs``."""
+        for env in envs:
+            if isinstance(env.trace, tuple):
+                yield from env.trace
             else:
-                handler = mtype.handler
-                for item, msp in zip(payloads, traces):
-                    if isinstance(msp, Span):
-                        msp.t1 = perf_counter()
-                        hs = self._begin("handle", mtype.name, env.dest,
-                                         parent=msp.sid, trace=msp.trace)
-                        st.append(hs)
-                        try:
-                            handler(ctx, item)
-                        finally:
-                            st.pop()
-                            self._end(hs)
-                    else:
-                        st.append(_DROPPED)
-                        try:
-                            handler(ctx, item)
-                        finally:
-                            st.pop()
-        else:
-            stats.count_handler(mtype.name)
-            msp = env.trace if isinstance(env.trace, Span) else None
-            if msp is not None:
-                msp.t1 = perf_counter()
-                hs = self._begin("handle", mtype.name, env.dest,
-                                 parent=msp.sid, trace=msp.trace)
-                st.append(hs)
-                try:
-                    mtype.handler(ctx, env.payload)
-                finally:
-                    st.pop()
-                    self._end(hs)
-            else:
-                st.append(_DROPPED)
-                try:
-                    mtype.handler(ctx, env.payload)
-                finally:
-                    st.pop()
-        dt = perf_counter() - t0
-        stats.add_handler_time(mtype.name, dt)
-        health = machine.health
-        if health.enabled:
-            health.note_delivery(env.dest, n, dt)
+                yield from (None,) * len(env.payload)
 
     # -- wire observers (MessageTracer et al.) --------------------------------------
     def add_wire_observer(self, fn) -> None:

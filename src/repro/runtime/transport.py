@@ -1,6 +1,6 @@
 """Transport abstraction: moving active messages between ranks.
 
-Two transports implement this interface:
+Three transports implement this interface:
 
 * :class:`~repro.runtime.sim.SimTransport` — N simulated ranks in one
   process with deterministic, seeded scheduling.  This is the default and
@@ -9,6 +9,11 @@ Two transports implement this interface:
 * :class:`~repro.runtime.threads.ThreadTransport` — one OS thread per rank
   (optionally several worker threads per rank) with real queues; exercises
   the lock-map synchronization story under true interleavings.
+* :class:`~repro.runtime.process.ProcessTransport` — one forked OS
+  process per rank with shared-memory property maps and a binary wire;
+  the transport where adding ranks lowers wall-clock time.
+
+Every transport delivers through :meth:`Transport.run_handler`.
 
 Handlers receive a :class:`HandlerContext` bound to the executing rank;
 sending from a handler attributes the message to that rank, so local
@@ -231,16 +236,13 @@ class Transport:
 
         The one legality test of a merged delivery.  Merging reorders
         delivery, so it needs a batch handler whose result is order-free
-        (``MessageType.order_free``).  It also needs every envelope to stay
-        individually observable where something watches it: spans off
-        (:meth:`Telemetry.deliver` opens a span per envelope) and no chaos
-        layer (reliable delivery acks and dedups per envelope).
+        (``MessageType.order_free``).  It also needs no chaos layer:
+        reliable delivery acks and dedups per envelope.
         """
         machine = self.machine
         if (
             batch
             and machine.chaos is None
-            and not machine.telemetry.spans_on
             and machine.registry.by_id(env.type_id).order_free
         ):
             key = merge_key(env.payload)
@@ -250,6 +252,12 @@ class Transport:
 
     def run_handler(self, env: Envelope, batch: bool, more: tuple = ()) -> None:
         """Dispatch one envelope at its destination rank.
+
+        The one delivery path: every transport hands each delivered
+        envelope here, and nothing else in the runtime calls a message
+        type's handlers.  Under chaos, :meth:`ChaosTransport.admit
+        <repro.runtime.chaos.ChaosTransport.admit>` runs first (acks,
+        dedup, re-ack) and may consume the envelope.
 
         Coalesced envelopes (``batch=True``) carry a tuple of payload tuples
         or a :class:`~repro.runtime.wire.WireBatch` of payload columns.
@@ -265,18 +273,22 @@ class Transport:
         (:meth:`merge_room`): the batch handler runs once on the rows of
         all of them, while the detector, statistics and health accounting
         still count every envelope.
+
+        At telemetry level ``spans`` each handler call runs inside a span
+        parented on the delivered msg spans: one ``batch`` span per
+        batch-handler call, one ``handle`` span per scalar payload.
         """
-        tel = self.machine.telemetry
-        if tel.spans_on:
-            # Traced twin: same stats/detector/handler sequence, plus
-            # handle/batch spans parented on the delivered msg spans.
-            tel.deliver(self, env, batch)
-            return
-        mtype = self.machine.registry.by_id(env.type_id)
+        machine = self.machine
+        if machine.chaos is not None:
+            env = machine.chaos.admit(env)
+            if env is None:
+                return
+        mtype = machine.registry.by_id(env.type_id)
         name = mtype.name
         ctx = self.context_for(env.dest)
-        stats = self.machine.stats
-        detector = self.machine.detector
+        stats = machine.stats
+        detector = machine.detector
+        tel = machine.telemetry
         detector.on_receive(env.dest)
         t0 = perf_counter()
         if batch:
@@ -292,19 +304,41 @@ class Transport:
                     stats.count_handler(name, k)
                     stats.count_batch_delivery(name, k, vectorized=True, joined=True)
                 payloads = WireBatch.concat([payloads, *(e.payload for e in more)])
-            if bh is not None:
-                bh(ctx, payloads)
+            if not tel.spans_on:
+                if bh is not None:
+                    bh(ctx, payloads)
+                else:
+                    handler = mtype.handler
+                    for item in payloads:
+                        handler(ctx, item)
+            elif bh is not None:
+                tel.enter_batch(name, env.dest, (env, *more), len(payloads))
+                try:
+                    bh(ctx, payloads)
+                finally:
+                    tel.leave()
             else:
                 handler = mtype.handler
-                for item in payloads:
-                    handler(ctx, item)
+                for item, msp in zip(payloads, tel.msg_spans((env, *more))):
+                    tel.enter_handle(name, env.dest, msp)
+                    try:
+                        handler(ctx, item)
+                    finally:
+                        tel.leave()
         else:
             n = 1
             stats.count_handler(name)
-            mtype.handler(ctx, env.payload)
+            if not tel.spans_on:
+                mtype.handler(ctx, env.payload)
+            else:
+                tel.enter_handle(name, env.dest, env.trace)
+                try:
+                    mtype.handler(ctx, env.payload)
+                finally:
+                    tel.leave()
         dt = perf_counter() - t0
         stats.add_handler_time(name, dt)
-        health = self.machine.health
+        health = machine.health
         if health.enabled:
             if more:
                 # One note per envelope; the call's time shared by rows.

@@ -41,6 +41,7 @@ import dataclasses
 import threading
 import time
 from collections import deque
+from numbers import Integral, Real
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -56,6 +57,14 @@ REBALANCE = "rebalance"
 
 #: Algorithms a job may request.
 ALGORITHMS = ("sssp", "bfs", "cc", "pagerank", MUTATION, REBALANCE)
+
+#: PageRank params a job may set: ``name -> (type, legal, rule)``; bools
+#: are never numbers here.
+PAGERANK_PARAMS = {
+    "damping": (Real, lambda v: 0 <= v <= 1, "a real in [0, 1]"),
+    "tol": (Real, lambda v: v >= 0, "a real >= 0"),
+    "iterations": (Integral, lambda v: v >= 1, "an integer >= 1"),
+}
 
 #: Job lifecycle states.
 STATUSES = ("queued", "running", "done", "failed", "cancelled")
@@ -261,10 +270,13 @@ class GraphEngine:
         elif algorithm == "cc":
             extra = set(params)
         elif algorithm == "pagerank":
-            for key, kind in (("damping", float), ("tol", float), ("iterations", int)):
-                if key in params and not isinstance(params[key], (int, float)):
-                    raise ValueError(f"pagerank param {key!r} must be {kind.__name__}")
-            extra = set(params) - {"damping", "iterations", "tol"}
+            for key, (kind, legal, rule) in PAGERANK_PARAMS.items():
+                if key not in params:
+                    continue
+                v = params[key]
+                if isinstance(v, bool) or not isinstance(v, kind) or not legal(v):
+                    raise ValueError(f"pagerank param {key!r} must be {rule}; got {v!r}")
+            extra = set(params) - set(PAGERANK_PARAMS)
         elif algorithm == REBALANCE:
             from ..graph.partition import PARTITIONS
 

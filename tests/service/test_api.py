@@ -145,6 +145,11 @@ class TestRoutesAndStatusCodes:
         status, body = post_job(url, "sssp", {"source": g.n_vertices})
         assert status == 400 and "out of range" in body
 
+    def test_bad_pagerank_params_are_400(self, served):
+        url, _, _, _ = served
+        status, body = post_job(url, "pagerank", {"damping": 7.0})
+        assert status == 400 and "'damping' must be a real in [0, 1]" in body
+
     def test_malformed_body_is_400(self, served):
         url, _, _, _ = served
         from urllib.request import Request, urlopen

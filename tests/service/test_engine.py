@@ -112,6 +112,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown pagerank params"):
             eng.submit("pagerank", {"alpha": 0.9})
 
+    @pytest.mark.parametrize("params, match", [
+        ({"iterations": 2.5}, "'iterations' must be an integer >= 1"),
+        ({"iterations": True}, "'iterations' must be an integer >= 1"),
+        ({"iterations": 0}, "'iterations' must be an integer >= 1"),
+        ({"iterations": -3}, "'iterations' must be an integer >= 1"),
+        ({"damping": 7.0}, r"'damping' must be a real in \[0, 1\]"),
+        ({"damping": -0.1}, r"'damping' must be a real in \[0, 1\]"),
+        ({"damping": float("nan")}, r"'damping' must be a real in \[0, 1\]"),
+        ({"damping": False}, r"'damping' must be a real in \[0, 1\]"),
+        ({"tol": -1e-9}, "'tol' must be a real >= 0"),
+        ({"tol": "0"}, "'tol' must be a real >= 0"),
+    ])
+    def test_rejects_bad_pagerank_params(self, engine, params, match):
+        eng, _, _ = engine
+        with pytest.raises(ValueError, match=match):
+            eng.submit("pagerank", params)
+
+    def test_accepts_pagerank_params_at_their_bounds(self, engine):
+        eng, _, _ = engine
+        job = eng.submit("pagerank", {"iterations": 1, "damping": 1, "tol": 0})
+        assert job.wait(timeout=30) and job.status == "done"
+
     def test_sssp_needs_weights(self):
         g, _ = instance()
         eng = GraphEngine(Machine(4), g)  # no weights loaded
