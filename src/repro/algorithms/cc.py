@@ -178,10 +178,9 @@ def rewrite_cc(graph: DistributedGraph, bp: BoundPattern) -> np.ndarray:
 
 
 def _is_symmetric(graph: DistributedGraph) -> bool:
-    arcs = set()
-    for _gid, s, t in graph.edges():
-        arcs.add((s, t))
-    return all((t, s) in arcs for (s, t) in arcs)
+    src, trg = graph.edge_arrays()
+    n = np.int64(graph.n_vertices)
+    return bool(np.isin(trg * n + src, src * n + trg).all())
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,5 @@ def verify_coloring(graph: DistributedGraph, colors: np.ndarray) -> bool:
     colors = np.asarray(colors)
     if (colors < 0).any():
         return False
-    for _gid, s, t in graph.edges():
-        if s != t and colors[s] == colors[t]:
-            return False
-    return True
+    src, trg = graph.edge_arrays()
+    return not ((colors[src] == colors[trg]) & (src != trg)).any()

@@ -79,9 +79,8 @@ def validate_bfs(
     if parent[source] != source:
         problems.append("root is not its own parent")
 
-    arcs = set()
-    for _gid, s, t in graph.edges():
-        arcs.add((s, t))
+    arc_src, arc_trg = graph.edge_arrays()
+    arcs = set(zip(arc_src.tolist(), arc_trg.tolist()))
 
     # depths via parent chasing, with cycle detection
     depth = np.full(n, -1, dtype=np.int64)

@@ -91,9 +91,9 @@ def maximal_independent_set(
 def verify_mis(graph: DistributedGraph, member: np.ndarray) -> bool:
     """Independence + maximality check (test oracle)."""
     member = np.asarray(member, dtype=bool)
-    for _gid, s, t in graph.edges():
-        if s != t and member[s] and member[t]:
-            return False  # not independent
+    src, trg = graph.edge_arrays()
+    if (member[src] & member[trg] & (src != trg)).any():
+        return False  # not independent
     for v in range(graph.n_vertices):
         if not member[v]:
             gids, targets = graph.out_edges(v)

@@ -265,10 +265,6 @@ def dijkstra_on_graph(
     graph: DistributedGraph, weight_by_gid, source: int
 ) -> np.ndarray:
     """Dijkstra oracle reading a built distributed graph (test helper)."""
-    srcs, trgs, ws = [], [], []
-    w = np.asarray(weight_by_gid)
-    for gid, s, t in graph.edges():
-        srcs.append(s)
-        trgs.append(t)
-        ws.append(w[gid])
+    srcs, trgs = graph.edge_arrays()
+    ws = np.asarray(weight_by_gid)
     return dijkstra_reference(graph.n_vertices, srcs, trgs, ws, source)

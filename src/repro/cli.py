@@ -57,7 +57,7 @@ def _make_graph(args, *, directed: bool):
     weights = uniform_weights(len(src), args.w_min, args.w_max, seed=seed + 1)
     return build_graph(
         n,
-        list(zip(src.tolist(), trg.tolist())),
+        np.column_stack((src, trg)),
         weights=weights,
         directed=directed,
         n_ranks=args.ranks,
@@ -342,7 +342,8 @@ def cmd_mutate(args) -> int:
         sssp_fixed_point(machine, graph, wm, source, bound=bound)
 
         rnd = random.Random(args.mutation_seed)
-        arcs = [(a, b) for _gid, a, b in graph.edges()]
+        arc_src, arc_trg = graph.edge_arrays()
+        arcs = list(zip(arc_src.tolist(), arc_trg.tolist()))
         batch, used, k = MutationBatch(), set(), 0
         while arcs and k < args.ops // 2:
             arc = rnd.choice(arcs)

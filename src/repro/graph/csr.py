@@ -104,10 +104,10 @@ def build_csr(
     local_of_src: np.ndarray,
     targets: np.ndarray,
     edge_offset: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort arcs by local source and build the CSR arrays.
 
-    Returns ``(indptr, sorted_targets, order, sorted_local_src)`` where
+    Returns ``(indptr, sorted_targets, order)`` where
     ``order`` is the permutation applied to the input arc arrays — callers
     apply the same permutation to weight arrays so edge gids stay aligned.
     """
@@ -117,4 +117,4 @@ def build_csr(
     counts = np.bincount(sorted_src, minlength=n_local)
     indptr = np.zeros(n_local + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, sorted_trg, order, sorted_src
+    return indptr, sorted_trg, order

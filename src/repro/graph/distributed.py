@@ -125,12 +125,18 @@ class DistributedGraph:
 
     # -- whole-graph conveniences (driver/test side) ---------------------------------
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (gid, src, trg) over all stored arcs."""
+        """Yield (gid, src, trg) over all stored arcs, in gid order.
+
+        A per-arc convenience for tests and small graphs; whole-graph
+        readers use :meth:`edge_arrays`.
+        """
         for rank, csr in enumerate(self.locals):
             base = int(self.edge_offsets[rank])
-            for i in range(csr.n_edges):
-                s, t = csr.arc_by_local_eid(i)
-                yield base + i, s, t
+            yield from zip(
+                range(base, base + csr.n_edges),
+                csr.local_sources.tolist(),
+                csr.targets.tolist(),
+            )
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, trg) global-id arrays over all stored arcs, in gid order.
@@ -202,24 +208,18 @@ def from_edges(
     locals_: list[LocalCSR] = []
     edge_offsets = np.zeros(part.n_ranks + 1, dtype=np.int64)
     gid_of_input = np.empty(len(src), dtype=np.int64)
-    per_rank_arc_idx: list[np.ndarray] = []
 
     offset = 0
     for rank in range(part.n_ranks):
         mine = np.flatnonzero(owners == rank)
         n_local = part.rank_size(rank)
-        indptr, sorted_trg, order, sorted_local_src = build_csr(
+        indptr, sorted_trg, order = build_csr(
             n_local, local_src_all[mine], trg[mine], offset
         )
         # input arc i (within 'mine') landed at sorted position order^-1
-        gid_of_input[mine[order]] = offset + np.arange(len(mine))
-        global_sources = np.array(
-            [part.to_global(rank, int(ls)) for ls in sorted_local_src], dtype=np.int64
-        )
-        locals_.append(
-            LocalCSR(n_local, indptr, sorted_trg, global_sources, offset)
-        )
-        per_rank_arc_idx.append(mine[order])
+        arcs = mine[order]
+        gid_of_input[arcs] = offset + np.arange(len(mine))
+        locals_.append(LocalCSR(n_local, indptr, sorted_trg, src[arcs], offset))
         offset += len(mine)
         edge_offsets[rank + 1] = offset
 
@@ -230,26 +230,18 @@ def from_edges(
 
 
 def _add_in_edges(graph: DistributedGraph) -> None:
-    """Materialize per-rank in-adjacency (paper's bidirectional storage)."""
+    """Materialize per-rank in-adjacency (paper's bidirectional storage).
+
+    Each rank keeps the arcs whose target it owns, grouped by the target's
+    local index; within a target, arcs stay in gid order (stable sort).
+    """
     part = graph.partition
-    # Collect (trg_local, src, gid) per target-owning rank.
-    buckets: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n_ranks)]
-    for gid, s, t in graph.edges():
-        buckets[part.owner(t)].append((part.local_index(t), s, gid))
-    for rank, items in enumerate(buckets):
-        csr = graph.locals[rank]
-        n_local = csr.n_local
-        if items:
-            arr = np.array(items, dtype=np.int64)
-            order = np.argsort(arr[:, 0], kind="stable")
-            arr = arr[order]
-            counts = np.bincount(arr[:, 0], minlength=n_local)
-            in_indptr = np.zeros(n_local + 1, dtype=np.int64)
-            np.cumsum(counts, out=in_indptr[1:])
-            csr.in_indptr = in_indptr
-            csr.in_sources = arr[:, 1].copy()
-            csr.in_edge_gids = arr[:, 2].copy()
-        else:
-            csr.in_indptr = np.zeros(n_local + 1, dtype=np.int64)
-            csr.in_sources = np.empty(0, dtype=np.int64)
-            csr.in_edge_gids = np.empty(0, dtype=np.int64)
+    src, trg = graph.edge_arrays()  # gid order, so position == gid
+    trg_owner = part.owner_array(trg)
+    trg_local = part.local_index_array(trg)
+    for rank, csr in enumerate(graph.locals):
+        gids = np.flatnonzero(trg_owner == rank)
+        csr.in_indptr, csr.in_sources, order = build_csr(
+            csr.n_local, trg_local[gids], src[gids], 0
+        )
+        csr.in_edge_gids = gids[order]

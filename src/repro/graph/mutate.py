@@ -362,7 +362,7 @@ def apply_batch(
             mine = np.flatnonzero(owners == rank)
             n_local = new_part.rank_size(rank)
             local_src = new_part.local_index_array(all_src[mine])
-            indptr, sorted_trg, order, _ = build_csr(
+            indptr, sorted_trg, order = build_csr(
                 n_local, local_src, all_trg[mine], offset
             )
             sorted_global_src = all_src[mine][order]
@@ -542,7 +542,7 @@ def repartition(graph: DistributedGraph, new_partition) -> np.ndarray:
     for rank in range(p_new):
         mine = np.flatnonzero(owners == rank)
         n_local = new_partition.rank_size(rank)
-        indptr, sorted_trg, order, _ = build_csr(
+        indptr, sorted_trg, order = build_csr(
             n_local, local_src_all[mine], trg[mine], offset
         )
         orig = mine[order]

@@ -24,24 +24,18 @@ def reverse_graph(
 ) -> tuple[DistributedGraph, Optional[np.ndarray]]:
     """A new graph with every arc flipped (pull-style algorithms without
     bidirectional storage); weights follow their arcs."""
-    src_list, trg_list, w_list = [], [], []
-    w = None if weight_by_gid is None else np.asarray(weight_by_gid)
-    for gid, s, t in graph.edges():
-        src_list.append(t)
-        trg_list.append(s)
-        if w is not None:
-            w_list.append(w[gid])
+    src, trg = graph.edge_arrays()
     g2, gids = from_edges(
         graph.n_vertices,
-        src_list,
-        trg_list,
+        trg,
+        src,
         n_ranks=graph.n_ranks,
         partition=partition,
     )
-    if w is None:
+    if weight_by_gid is None:
         return g2, None
     out = np.empty(g2.n_edges)
-    out[gids] = np.asarray(w_list)
+    out[gids] = np.asarray(weight_by_gid)
     return g2, out
 
 
@@ -69,23 +63,17 @@ def induced_subgraph(
     new_of_old = np.full(graph.n_vertices, -1, dtype=np.int64)
     new_of_old[old_of_new] = np.arange(len(old_of_new))
 
-    w = None if weight_by_gid is None else np.asarray(weight_by_gid)
-    src_list, trg_list, w_list = [], [], []
-    for gid, s, t in graph.edges():
-        if keep_arr[s] and keep_arr[t]:
-            src_list.append(int(new_of_old[s]))
-            trg_list.append(int(new_of_old[t]))
-            if w is not None:
-                w_list.append(w[gid])
+    src, trg = graph.edge_arrays()
+    kept = keep_arr[src] & keep_arr[trg]
     g2, gids = from_edges(
         len(old_of_new),
-        src_list,
-        trg_list,
+        new_of_old[src[kept]],
+        new_of_old[trg[kept]],
         n_ranks=graph.n_ranks,
         partition=partition,
     )
-    if w is None:
+    if weight_by_gid is None:
         return g2, None, old_of_new
     out = np.empty(g2.n_edges)
-    out[gids] = np.asarray(w_list)
+    out[gids] = np.asarray(weight_by_gid)[kept]
     return g2, out, old_of_new
