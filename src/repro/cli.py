@@ -562,7 +562,10 @@ def cmd_plan(args) -> int:
     print(pattern.describe())
     print()
     for action in pattern.actions.values():
-        print(compile_action(action, args.mode).describe())
+        plan = compile_action(action, args.mode)
+        print(plan.describe())
+        m = plan.confluence
+        print(f"  confluence: {m.kind}" if m else f"  confluence: none ({plan.confluence_reason})")
         print()
     return 0
 

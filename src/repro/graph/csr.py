@@ -103,7 +103,6 @@ def build_csr(
     n_local: int,
     local_of_src: np.ndarray,
     targets: np.ndarray,
-    edge_offset: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort arcs by local source and build the CSR arrays.
 

@@ -213,9 +213,7 @@ def from_edges(
     for rank in range(part.n_ranks):
         mine = np.flatnonzero(owners == rank)
         n_local = part.rank_size(rank)
-        indptr, sorted_trg, order = build_csr(
-            n_local, local_src_all[mine], trg[mine], offset
-        )
+        indptr, sorted_trg, order = build_csr(n_local, local_src_all[mine], trg[mine])
         # input arc i (within 'mine') landed at sorted position order^-1
         arcs = mine[order]
         gid_of_input[arcs] = offset + np.arange(len(mine))
@@ -242,6 +240,6 @@ def _add_in_edges(graph: DistributedGraph) -> None:
     for rank, csr in enumerate(graph.locals):
         gids = np.flatnonzero(trg_owner == rank)
         csr.in_indptr, csr.in_sources, order = build_csr(
-            csr.n_local, trg_local[gids], src[gids], 0
+            csr.n_local, trg_local[gids], src[gids]
         )
         csr.in_edge_gids = gids[order]

@@ -362,9 +362,7 @@ def apply_batch(
             mine = np.flatnonzero(owners == rank)
             n_local = new_part.rank_size(rank)
             local_src = new_part.local_index_array(all_src[mine])
-            indptr, sorted_trg, order = build_csr(
-                n_local, local_src, all_trg[mine], offset
-            )
+            indptr, sorted_trg, order = build_csr(n_local, local_src, all_trg[mine])
             sorted_global_src = all_src[mine][order]
             orig = all_orig[mine][order]
             new_locals.append(
@@ -542,9 +540,7 @@ def repartition(graph: DistributedGraph, new_partition) -> np.ndarray:
     for rank in range(p_new):
         mine = np.flatnonzero(owners == rank)
         n_local = new_partition.rank_size(rank)
-        indptr, sorted_trg, order = build_csr(
-            n_local, local_src_all[mine], trg[mine], offset
-        )
+        indptr, sorted_trg, order = build_csr(n_local, local_src_all[mine], trg[mine])
         orig = mine[order]
         gid_map[orig] = offset + np.arange(len(mine), dtype=np.int64)
         new_locals.append(

@@ -28,6 +28,7 @@ to ``work_many``.
 from __future__ import annotations
 
 from functools import partial
+from itertools import groupby
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -60,9 +61,9 @@ from .expr import (
     unalias,
 )
 from ..runtime.coalescing import CoalescingLayer
-from .fastpath import _MISSING, compile_steps, recognize_vector_shape
+from .fastpath import _MISSING, VectorPlan, compile_steps, recognize_vector_shape
 from .pattern import Pattern, PropertyDecl, default_for
-from .planner import ActionPlan, Extremum, compile_action
+from .planner import ActionPlan, compile_action
 
 WorkHook = Callable[..., None]  # work(ctx, vertex); work_many(ctx, int64 array)
 
@@ -169,14 +170,18 @@ class BoundAction:
         # match has a source-local candidate (``VectorPlan.fused``):
         # rank-local edges are applied inline and remote rows are deduped
         # before the wire.  Recognized does not imply fused (a src(e)
-        # candidate is not source-local).  Unrecognized shapes fall back to
-        # the compiled walk.
+        # candidate is not source-local, a sum is order-sensitive).
+        # Unrecognized shapes fall back to the compiled walk;
+        # ``vector_reason`` says why.
         fp = bound.machine.fast_path
         self._compiled = compile_steps(self) if fp != "off" else None
         self._walk_fn = self._walk if self._compiled is None else self._walk_compiled
-        self.vector_plan = recognize_vector_shape(self) if fp == "vector" else None
-        if fp == "vector" and self.vector_plan is None:
-            bound.machine.stats.count_fusion("fallbacks")
+        self.vector_plan: Optional[VectorPlan] = None
+        self.vector_reason = f"fast_path={fp!r} has no vector tier"
+        if fp == "vector":
+            self.vector_plan, self.vector_reason = recognize_vector_shape(self)
+            if self.vector_plan is None:
+                bound.machine.stats.count_fusion("fallbacks")
         # Bulk column sends may bypass the per-payload layer walk only when
         # the stack is exactly one coalescing layer (flush boundaries are
         # then reproduced precisely; any other layer must see each row).
@@ -190,8 +195,8 @@ class BoundAction:
         if self.vector_plan is not None:
             self.mtype.batch_handler = self._batch_handler
             # Merged delivery reorders envelopes: legal only where the
-            # planner proved the update confluent.
-            self.mtype.order_free = isinstance(plan.confluence, Extremum)
+            # planner proved the update confluent (an extremum, not a sum).
+            self.mtype.order_free = self.vector_plan.order_free
 
     @property
     def _fused(self) -> bool:
@@ -589,10 +594,27 @@ class BoundAction:
         else:
             inline = targets == sources  # self-loops
         n_inline = int(np.count_nonzero(inline))
+        if (
+            0 < n_inline < total
+            and not vp.order_free
+            and vp.dependent
+            and (self._work is not None or self._work_many is not None)
+        ):
+            # A work hook may send: its sends land between the rows the
+            # scalar walk generates before and after each self-loop.
+            cut = (np.flatnonzero(inline[1:] != inline[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cut], [*cut, total]):
+                run = [targets[lo:hi], *(c[lo:hi] for c in cols)]
+                if inline[lo]:
+                    self._apply_batch(ctx, run)
+                else:
+                    batch = WireBatch(vp.payload_columns(run[0], run[1:]), hi - lo)
+                    self._send_columns(ctx.machine, rank, batch, owners[lo:hi])
+            return
         if n_inline:
             if fused:
                 stats.count_fusion("fused_edges", n_inline)
-            self._apply_batch(ctx, targets[inline], cols[vp.cand_col][inline])
+            self._apply_batch(ctx, [targets[inline], *(c[inline] for c in cols)])
             if n_inline == total:
                 return
             keep = ~inline
@@ -605,7 +627,7 @@ class BoundAction:
                 # survive the compare-and-assign — dominated rows change
                 # neither the final map nor the dependent set, so drop
                 # them before they reach the wire.
-                cand = cols[vp.cand_col]
+                cand = vp.value([targets, *cols])
                 if not vp.minimize and cand.dtype.kind == "f":
                     # NaN sorts last, yet never wins the compare: rank it
                     # below every candidate so it cannot crowd out the max.
@@ -641,13 +663,17 @@ class BoundAction:
         return owners
 
     def _send_columns(self, machine: Machine, src: int, batch: WireBatch, owners=None) -> None:
-        """Ship payload rows as column batches, one stable split per rank.
+        """Ship payload rows as column batches.
 
         With a single coalescing layer and spans off, each destination
         rank's rows are appended to its buffer as columns, with the exact
         flush boundaries sequential sends would produce — logical send
-        counts, flush counts and envelope contents are unchanged.  Any
-        other configuration (telemetry spans, reduction/caching layers, no
+        counts, flush counts and envelope contents are unchanged.  An
+        order-free type takes one stable split per rank; any other type
+        also flushes its buffers in the order sequential sends would
+        (:meth:`CoalescingLayer.send_rows_in_order`), because the ``fifo``
+        and ``lifo`` schedules deliver by that order.  Any other
+        configuration (telemetry spans, reduction/caching layers, no
         coalescing, the ``off`` oracle) must see every row: the batch is
         iterated and each row — a tuple of plain Python values — takes the
         ordinary send path (``inject`` for the driver's ``src == -1``).
@@ -667,6 +693,9 @@ class BoundAction:
             if counts.max() == batch.nrows:
                 layer.send_rows(src, int(owners[0]), batch)
                 return
+            if not self.mtype.order_free:
+                layer.send_rows_in_order(src, owners, batch)
+                return
             batch = batch.take(np.argsort(owners, kind="stable"))
             lo = 0
             for r, n in enumerate(counts.tolist()):
@@ -683,64 +712,88 @@ class BoundAction:
         falls back to the scalar handler, preserving exact semantics for
         the long tail.  A column batch — flushed by the coalescing layer
         on ``sim``/``threads``, decoded from a frame on ``process`` — is
-        consumed column-wise; row tuples are recognized one by one.
+        consumed column-wise; row tuples are recognized one by one
+        (:meth:`_batch_rows`).
         """
         vp = self.vector_plan
-        esi = vp.eval_si
-        plen, sig, cand_pos = vp.payload_len, vp.slot_sig, vp.cand_pos
-        tel = ctx.machine.telemetry
         if isinstance(payloads, WireBatch):
             if payloads.ncols == 3 and payloads.col_const(1) == -1:
                 # A whole frame of generator starts (work-hook re-invokes,
                 # driver injections): zero per-row dispatch.
+                tel = ctx.machine.telemetry
                 if tel.spans_on:
                     tel.annotate(starts=len(payloads))
                 self._fan_out(ctx, payloads.column(0))
                 ctx.stats.count_vector_items(self.mtype.name, len(payloads))
                 return
-            if payloads.ncols == plen:
-                self._batch_handler_columnar(ctx, payloads, esi, sig, cand_pos)
+            if payloads.ncols == vp.payload_len:
+                self._batch_handler_columnar(ctx, payloads)
                 return
-        dests: list = []
-        cands: list = []
-        starts: list = []
-        rest: list = []
-        for p in payloads:
+        self._batch_rows(ctx, payloads)
+
+    def _batch_rows(self, ctx, payloads) -> None:
+        """Delivery of an envelope held as row tuples.
+
+        Each row is an eval-step payload of the recognized shape, a
+        generator start or anything else (run by the scalar handler).  An
+        order-free update applies every eval row in one scatter, then fans
+        out every start; an order-sensitive one (a sum) takes consecutive
+        runs of one kind in arrival order, as the scalar handler would —
+        the ``(r, r)`` buffer mixes driver starts with rank ``r``'s own
+        fan-out rows, and a start's self-loop adds must land between the
+        rows delivered around it.
+        """
+        vp = self.vector_plan
+        esi, plen, sig = vp.eval_si, vp.payload_len, vp.slot_sig
+        positions = vp.value_positions
+
+        def kind(p) -> int:  # 0: eval row, 1: generator start, 2: other
             if (
                 len(p) == plen
                 and p[1] == 0
                 and p[2] == esi
                 and all(p[3 + 2 * i] == s for i, s in enumerate(sig))
             ):
-                dests.append(p[0])
-                cands.append(p[cand_pos])
-            elif len(p) == 3 and p[1] == -1:
-                starts.append(p[0])
-            else:
-                rest.append(p)
-        if tel.spans_on:
-            tel.annotate(vectorized=len(dests), starts=len(starts), fallback=len(rest))
-        if dests:
-            self._apply_batch(ctx, dests, cands)
-            ctx.stats.count_vector_items(self.mtype.name, len(dests))
-        if starts:
-            self._fan_out(ctx, starts)
-            ctx.stats.count_vector_items(self.mtype.name, len(starts))
-        for p in rest:
-            self._handler(ctx, p)
+                return 0
+            return 1 if len(p) == 3 and p[1] == -1 else 2
 
-    def _batch_handler_columnar(self, ctx, wb: WireBatch, esi, sig, cand_pos) -> None:
+        kinds = [kind(p) for p in payloads]
+        tel = ctx.machine.telemetry
+        if tel.spans_on:
+            tel.annotate(
+                vectorized=kinds.count(0), starts=kinds.count(1), fallback=kinds.count(2)
+            )
+        rows = list(zip(kinds, payloads))
+        if vp.order_free:
+            rows.sort(key=lambda kp: kp[0])  # stable: arrival order per kind
+        name = self.mtype.name
+        for k, run in groupby(rows, key=lambda kp: kp[0]):
+            run = [p for _, p in run]
+            if k == 0:
+                self._apply_batch(ctx, [np.array([p[i] for p in run]) for i in positions])
+                ctx.stats.count_vector_items(name, len(run))
+            elif k == 1:
+                self._fan_out(ctx, [p[0] for p in run])
+                ctx.stats.count_vector_items(name, len(run))
+            else:
+                for p in run:
+                    self._handler(ctx, p)
+
+    def _batch_handler_columnar(self, ctx, wb: WireBatch) -> None:
         """Column-wise delivery of a batch shaped like eval-step payloads.
 
         The recognition predicate is tested per column instead of per
-        row, and the destination/candidate columns feed the scatter kernel
-        directly — per-row tuples are only materialized for rows a
-        non-constant predicate column rules out (which the fast-path send
+        row, and the value columns feed the scatter kernel directly —
+        per-row tuples are only materialized when a non-constant
+        predicate column rules some row out (which the fast-path send
         shape never produces: every row it emits shares
         ``ci==0``/``si``/slot ids).
         """
-        # Recognition predicate: ci == 0, si == esi, slot ids match.
-        checks = [(1, 0), (2, esi)] + [(3 + 2 * i, s) for i, s in enumerate(sig)]
+        vp = self.vector_plan
+        # Recognition predicate: ci == 0, si == eval_si, slot ids match.
+        checks = [(1, 0), (2, vp.eval_si)] + [
+            (3 + 2 * i, s) for i, s in enumerate(vp.slot_sig)
+        ]
         mask = None  # None -> all rows match so far
         for col, expect in checks:
             const = wb.col_const(col)
@@ -751,41 +804,39 @@ class BoundAction:
                 continue
             m = wb.column(col) == expect
             mask = m if mask is None else (mask & m)
-        tel = ctx.machine.telemetry
-        if mask is None:
-            # Every row matches: the common case for coalesced fast-path
-            # traffic (constant ci/si/slot columns are scalars).
-            if tel.spans_on:
-                tel.annotate(vectorized=len(wb), fallback=0)
-            self._apply_batch(ctx, *wb.columns(0, cand_pos))
-            ctx.stats.count_vector_items(self.mtype.name, len(wb))
+        if mask is not None:
+            # Some row is not an eval row of the shape: recognise row by
+            # row, which keeps a sum's arrival order.
+            self._batch_rows(ctx, wb._materialize())
             return
-        n_match = int(mask.sum())
+        # Every row matches: the common case for coalesced fast-path
+        # traffic (constant ci/si/slot columns are scalars).
+        tel = ctx.machine.telemetry
         if tel.spans_on:
-            tel.annotate(vectorized=n_match, fallback=len(wb) - n_match)
-        if n_match:
-            self._apply_batch(
-                ctx, wb.column(0)[mask], wb.column(cand_pos)[mask]
-            )
-            ctx.stats.count_vector_items(self.mtype.name, n_match)
-        rows = wb._materialize()
-        for i in np.nonzero(~mask)[0]:
-            self._handler(ctx, rows[int(i)])
+            tel.annotate(vectorized=len(wb), fallback=0)
+        self._apply_batch(ctx, [wb.column(i) for i in vp.value_positions])
+        ctx.stats.count_vector_items(self.mtype.name, len(wb))
 
-    def _apply_batch(self, ctx, dests, cands) -> None:
-        """Apply a batch of candidate values as one extremum scatter.
+    def _apply_batch(self, ctx, cols: list) -> None:
+        """Apply a batch of eval-step rows, given as value columns (the
+        destination first, then the carried values; see
+        :attr:`VectorPlan.value_positions`).
 
-        Equivalent to running the merged eval+modify handler once per
-        payload: the scatter's compare-and-update *is* the condition test
-        plus assignment, applied under every touched vertex's lock.  The
-        work hook fires once per vertex whose value the batch improved —
-        the same dependent-vertex set the scalar walk discovers (it may
-        fire fewer times for vertices improved repeatedly within one batch,
-        which only dedupes re-activation).
+        Equivalent to running the merged eval+modify handler once per row.
+        An extremum is one scatter whose compare-and-update *is* the
+        condition test plus assignment, applied under every touched
+        vertex's lock; the work hook fires once per vertex whose value the
+        batch improved — the same dependent-vertex set the scalar walk
+        discovers (it may fire fewer times for vertices improved
+        repeatedly within one batch, which only dedupes re-activation).
+        A sum is :meth:`_apply_sum`.
         """
         vp = self.vector_plan
-        dv = np.asarray(dests, dtype=np.int64)
-        cv = np.asarray(cands)
+        dv = np.asarray(cols[0], dtype=np.int64)
+        if vp.update == "add":
+            self._apply_sum(ctx, dv, cols)
+            return
+        cv = np.asarray(vp.value(cols))
         local = self.bound.graph.partition.local_index_array(dv)
         self.assign_count += len(dv)
         with self.bound.lockmap.lock_many(dv):
@@ -802,6 +853,37 @@ class BoundAction:
             # vertex locks held for the whole batch).
             ctx.stats.count_work_item(len(touched))
             self.fire_work(ctx, touched)
+
+    def _apply_sum(self, ctx, dv: np.ndarray, cols: list) -> None:
+        """``target[t] += value`` for every row that passes the test, in
+        row order — bitwise the scalar walk's ``old + delta`` per row.
+
+        Counters are per row, as the scalar walk keeps them: a row that
+        passes the test is an assignment; one whose value is nonzero (a
+        NaN is, ``±0.0`` is not) is added, counts as a change and a work
+        item, and fires the work hook — once per row, in row order.
+        """
+        vp = self.vector_plan
+        delta = np.asarray(vp.value(cols))
+        if delta.ndim == 0:
+            delta = np.full(len(dv), delta)
+        if vp.test is not None:
+            ok = np.broadcast_to(np.asarray(vp.test(cols), dtype=bool), dv.shape)
+            if not ok.all():
+                dv, delta = dv[ok], delta[ok]
+        self.assign_count += len(dv)
+        nz = delta != 0
+        if not nz.all():
+            dv, delta = dv[nz], delta[nz]
+        if not len(dv):
+            return
+        local = self.bound.graph.partition.local_index_array(dv)
+        with self.bound.lockmap.lock_many(dv):
+            vp.target_map.scatter_add(ctx.rank, local, delta)
+        self.change_count += len(dv)
+        if vp.dependent:
+            ctx.stats.count_work_item(len(dv))
+            self.fire_work(ctx, dv)
 
     # -- introspection ------------------------------------------------------------
     def describe(self) -> str:

@@ -17,13 +17,15 @@ values to the interpreted walk.
 
 **Tier 2 — vector shape recognition** (:func:`recognize_vector_shape`).
 Plans the planner matched as an extremum update (the SSSP-relax / CC-hook
-shape, :class:`~repro.patterns.planner.Extremum`) are additionally compiled
-to *batch kernels*: every generator start of a delivered envelope fans out in
-one call (carry kernels over per-edge index arrays into ``LocalCSR`` and
-property-map backing arrays), the rows travel as column batches
-(:class:`~repro.runtime.wire.WireBatch`) and a whole coalesced envelope is
-applied as one ``np.minimum.at``-style scatter, with dependent-vertex
-``work`` hooks fired from the changed mask.  Plans outside the shape fall
+shape, :class:`~repro.patterns.planner.Extremum`) or a sum (the
+PageRank-scatter shape, :class:`~repro.patterns.planner.Sum`) are
+additionally compiled to *batch kernels*: every generator start of a
+delivered envelope fans out in one call (carry kernels over per-edge index
+arrays into ``LocalCSR`` and property-map backing arrays), the rows travel
+as column batches (:class:`~repro.runtime.wire.WireBatch`) and a whole
+coalesced envelope is applied as one ``np.minimum.at``-style scatter (a
+sum: one ``np.add.at``, row by row in arrival order), with dependent-vertex
+``work`` hooks fired from the changed mask.  Plans outside the shapes fall
 back to the scalar path; the machine's ``fast_path`` flag ("off" |
 "compiled" | "vector") keeps the interpreted path available as the
 correctness oracle.
@@ -321,36 +323,56 @@ class VectorPlan:
     """A recognized vectorizable action shape.
 
     Semantics: for every generated neighbour ``t`` of the input vertex,
-    compute ``cand`` from values local to the input vertex, and at ``t``
-    apply ``target[t] = cand`` when ``cand`` is strictly better (minimize
-    or maximize).  Exactly the SSSP-relax / BFS-hop / CC-min-label shape.
+    compute the carried values at the input vertex, and at ``t`` apply
+    the planner's update class (:attr:`~repro.patterns.planner.ActionPlan.confluence`):
+
+    * ``update == "min"`` / ``"max"`` — ``target[t] = value`` when the
+      value is strictly better (the SSSP-relax / BFS-hop / CC-min-label
+      shape, :class:`~repro.patterns.planner.Extremum`);
+    * ``update == "add"`` — ``target[t] += value`` for the rows that pass
+      ``test`` (the PageRank-scatter shape,
+      :class:`~repro.patterns.planner.Sum`), row by row in arrival order.
 
     The payload a scalar walk would send to the eval step may carry more
-    than the candidate (liveness keeps e.g. the input vertex id alive even
+    than the value (liveness keeps e.g. the input vertex id alive even
     when the eval handler never consults it).  ``carry_vecs`` reproduces
     that exact layout — one ``(slot, kernel)`` per carried env key in env
     insertion order, each kernel ``f(rank, vloc, eidx, vglob)`` over
     per-edge index arrays (source local index, arc position, source global
     id) returning a per-edge array or a scalar — so vectorized sends are
     indistinguishable from scalar ones on the wire.
+
+    ``value`` and ``test`` are kernels over a delivery's *value columns*:
+    the address column (the neighbour) first, then one column per carried
+    key in payload order (payload positions :attr:`value_positions`).
     """
 
     generator: str  # 'out_edges' | 'adj'
     eval_si: int  # step index of the eval step (message resume point)
-    cand_key: tuple  # env key carrying the candidate value
     target_map: VertexPropertyMap
-    minimize: bool
+    update: str  # 'min' | 'max' | 'add'
+    value: Callable  # value(cols) -> the candidate / added value per row
+    test: Optional[Callable]  # test(cols) -> rows that apply ('add' only)
     fused: bool  # rank-local rows skip the message (source-local candidate)
     dependent: bool  # fires the work hook on change
     carry_vecs: list  # [(slot, kernel)] in payload order
     slot_sig: tuple  # the slot ids, in payload order (batch matching)
     payload_len: int  # 3 + 2 * len(carry_vecs)
-    cand_pos: int  # index of the candidate value within the payload
 
     @property
-    def cand_col(self) -> int:
-        """The candidate's index among the carried columns."""
-        return (self.cand_pos - 4) // 2
+    def minimize(self) -> bool:
+        return self.update == "min"
+
+    @property
+    def order_free(self) -> bool:
+        """The update commutes: deliveries may merge and rows reorder."""
+        return self.update != "add"
+
+    @property
+    def value_positions(self) -> tuple:
+        """Payload positions of the value columns: the address, then each
+        carried value (slot ids sit between them)."""
+        return (0, *range(4, self.payload_len, 2))
 
     def fan_out(self, rank: int, csr, vloc: np.ndarray, vglob: np.ndarray) -> tuple:
         """``(targets, sources, columns)`` over every out-edge of a batch
@@ -380,26 +402,88 @@ class VectorPlan:
         return out
 
 
-def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable]:
-    """Compile a source-local scalar expression to a per-edge numpy kernel.
+_UFUNCS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+    "==": np.equal,
+    "!=": np.not_equal,
+}
 
-    The kernel signature is ``f(rank, vloc, eidx)`` over per-edge index
-    arrays: ``vloc[i]`` is the local index of edge ``i``'s source vertex
-    and ``eidx[i]`` its arc position in the rank's CSR, so one call serves
-    every edge of every start vertex of a fan-out.  It returns a per-edge
-    array, or a scalar for a constant.  Returns ``None`` when the
-    expression is outside the vectorizable fragment (non-numeric maps,
-    reads not at the source, set operations).
+
+def _compile_vector_expr(expr: Expr, leaf: Callable) -> Optional[Callable]:
+    """Compile a scalar expression to a numpy kernel over whole columns.
+
+    ``leaf(expr)`` resolves the nodes the caller supplies as columns — it
+    is asked first at every node, as the scalar walk consults its carried
+    environment first — and returns a kernel or ``None``.  Constants,
+    arithmetic, comparisons, ``and``/``or``/``not`` and the ``abs``/
+    ``min``/``max`` calls are built around them; kernels pass their
+    arguments through, so one compiler serves the fan-out's per-edge
+    kernels ``f(rank, vloc, eidx)`` and the delivery's column kernels
+    ``f(cols)``.  Returns ``None`` when the expression is outside the
+    vectorizable fragment (non-numeric maps, reads ``leaf`` cannot
+    supply, set operations).
     """
     expr = unalias(expr)
+    kern = leaf(expr)
+    if kern is not None:
+        return kern
     if isinstance(expr, Const):
         v = expr.value
         if not isinstance(v, (int, float, bool)):
             return None
-        return lambda rank, vloc, eidx: v
-    if isinstance(expr, PropRead):
+        return lambda *a: v
+    if isinstance(expr, BoolOp):
+        kids = [_compile_vector_expr(c, leaf) for c in expr.children()]
+        if any(k is None for k in kids):
+            return None
+        if expr.op == "not":
+            return lambda *a, _l=kids[0]: np.logical_not(_l(*a))
+        op = np.logical_and if expr.op == "and" else np.logical_or
+        return lambda *a, _l=kids[0], _r=kids[1], _op=op: _op(_l(*a), _r(*a))
+    if isinstance(expr, (BinOp, Compare)):
+        left = _compile_vector_expr(expr.left, leaf)
+        right = _compile_vector_expr(expr.right, leaf)
+        op = _UFUNCS.get(expr.op)
+        if left is None or right is None or op is None:
+            return None
+        return lambda *a, _l=left, _r=right, _op=op: _op(_l(*a), _r(*a))
+    if isinstance(expr, Call):
+        args = [_compile_vector_expr(a, leaf) for a in expr.args]
+        if any(a is None for a in args) or len(args) < 1:
+            return None
+        if expr.fn_name == "abs" and len(args) == 1:
+            return lambda *a, _a=args[0]: np.abs(_a(*a))
+        if expr.fn_name in ("min", "max") and len(args) >= 2:
+            op = np.minimum if expr.fn_name == "min" else np.maximum
+
+            def reduce_(*a, _args=tuple(args), _op=op):
+                acc = _args[0](*a)
+                for k in _args[1:]:
+                    acc = _op(acc, k(*a))
+                return acc
+
+            return reduce_
+        return None
+    return None
+
+
+def _source_leaf(bound, generator: str) -> Callable:
+    """Leaves of a fan-out kernel ``f(rank, vloc, eidx)``: numeric
+    properties of the input vertex and, under ``out_edges``, of the
+    generated edge, read from the rank's local slice."""
+
+    def leaf(expr: Expr) -> Optional[Callable]:
+        if not isinstance(expr, PropRead):
+            return None
         pm = bound.maps.get(expr.decl.name)
-        if pm is None or pm.dtype is object or pm.dtype == "object":
+        if pm is None or not pm.is_numeric:
             return None
         idx = unalias(expr.index)
         if isinstance(idx, InputVertex) and isinstance(pm, VertexPropertyMap):
@@ -414,35 +498,18 @@ def _compile_vector_expr(expr: Expr, bound, generator: str) -> Optional[Callable
             slc = pm.local_slice
             return lambda rank, vloc, eidx, _s=slc: _s(rank)[eidx]
         return None
-    if isinstance(expr, BinOp):
-        left = _compile_vector_expr(expr.left, bound, generator)
-        right = _compile_vector_expr(expr.right, bound, generator)
-        if left is None or right is None:
-            return None
-        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[
-            expr.op
-        ]
-        return lambda rank, vloc, eidx, _l=left, _r=right, _op=op: _op(
-            _l(rank, vloc, eidx), _r(rank, vloc, eidx)
-        )
-    if isinstance(expr, Call):
-        args = [_compile_vector_expr(a, bound, generator) for a in expr.args]
-        if any(a is None for a in args) or len(args) < 1:
-            return None
-        if expr.fn_name == "abs" and len(args) == 1:
-            return lambda rank, vloc, eidx, _a=args[0]: np.abs(_a(rank, vloc, eidx))
-        if expr.fn_name in ("min", "max") and len(args) >= 2:
-            op = np.minimum if expr.fn_name == "min" else np.maximum
 
-            def reduce_(rank, vloc, eidx, _args=tuple(args), _op=op):
-                acc = _args[0](rank, vloc, eidx)
-                for a in _args[1:]:
-                    acc = _op(acc, a(rank, vloc, eidx))
-                return acc
+    return leaf
 
-            return reduce_
-        return None
-    return None
+
+def _column_leaf(col_of: dict) -> Callable:
+    """Leaves of a delivery kernel ``f(cols)``: the keys a row carries."""
+
+    def leaf(expr: Expr) -> Optional[Callable]:
+        i = col_of.get(expr.key())
+        return None if i is None else (lambda cols, _i=i: cols[_i])
+
+    return leaf
 
 
 def edge_index_arrays(indptr: np.ndarray, vloc: np.ndarray) -> tuple:
@@ -461,35 +528,45 @@ def edge_index_arrays(indptr: np.ndarray, vloc: np.ndarray) -> tuple:
     return start, np.arange(total) + np.repeat(offset, counts)
 
 
-def recognize_vector_shape(ba) -> Optional[VectorPlan]:
-    """Bind the plan's extremum update to batch kernels, or ``None``.
+#: Value dtype kinds a ``+=`` may add into each target kind, bitwise as
+#: the scalar ``old + delta`` stores them.
+_ADDS_INTO = {"f": "bif", "i": "bi"}
+
+
+def recognize_vector_shape(ba) -> tuple[Optional[VectorPlan], str]:
+    """Bind the plan's confluence class to batch kernels: ``(plan, "")``,
+    or ``(None, reason)`` naming the first requirement it misses.
 
     The structure — generator, gathers at the input vertex, a merged
-    compare-and-assign at the generated neighbour, ``minimize`` — is the
-    planner's match (:class:`~repro.patterns.planner.Extremum`).  What
-    remains needs the binding:
+    extremum compare-and-assign or ``+=`` at the generated neighbour — is
+    the planner's match (:class:`~repro.patterns.planner.Extremum`,
+    :class:`~repro.patterns.planner.Sum`).  What remains needs the
+    binding:
 
     * the eval step reads exactly the target property;
     * the target map is a numeric :class:`VertexPropertyMap`;
     * every env key the payload carries to the eval step (the candidate,
       and possibly liveness-retained extras such as the input vertex id)
-      is computable source-locally by a vector kernel.
+      is computable source-locally by a vector kernel;
+    * the candidate (extremum) is carried; the added value and the test
+      (sum) are computable from the carried values, and the value's
+      dtype adds into the target's exactly as the scalar walk adds.
     """
-    m = ba.plan.confluence
+    plan = ba.plan
+    m = plan.confluence
     if m is None:
-        return None
+        return None, plan.confluence_reason
     eval_step = m.steps[-1]
     if eval_step._read_keys != [m.target.key()]:
-        return None
+        return None, "the eval step must read only the target property"
     target_map = ba.bound.maps.get(m.target.decl.name)
     if not isinstance(target_map, VertexPropertyMap) or not target_map.is_numeric:
-        return None
+        return None, "the target must be a numeric vertex property map"
     # Reconstruct the carried payload layout exactly as the scalar walk
     # packs it: env insertion order (generator base keys, then each gather
     # step's reads / routing / folds), filtered to the eval step's carry.
-    gen = ba.plan.action.generator
-    cand_key = m.cand.key()
-    input_key = ba.plan.action.input.key()
+    gen = plan.action.generator
+    input_key = plan.action.input.key()
     ordered: list = [input_key, gen.var.key()]
     key_expr: dict = {input_key: _INPUT_VALUE}
     if gen.source == "out_edges":
@@ -506,37 +583,64 @@ def recognize_vector_shape(ba) -> Optional[VectorPlan]:
         for k in ordered
         if k in eval_step._carry and not (k in seen or seen.add(k))
     ]
-    if cand_key not in seen:
-        return None
     # Every carried key must have a source-local vector kernel.
+    source_leaf = _source_leaf(ba.bound, gen.source)
     carry_vecs: list = []
-    cand_pos = -1
-    for i, k in enumerate(payload_keys):
+    for k in payload_keys:
         src_e = key_expr.get(k)
         if src_e is _INPUT_VALUE:
             kern = lambda rank, vloc, eidx, vglob: vglob  # noqa: E731
         elif isinstance(src_e, Expr):
-            inner = _compile_vector_expr(src_e, ba.bound, gen.source)
+            inner = _compile_vector_expr(src_e, source_leaf)
             if inner is None:
-                return None
+                return None, f"no vector kernel for the carried {src_e.pretty()}"
             kern = (
                 lambda _f: lambda rank, vloc, eidx, vglob: _f(rank, vloc, eidx)
             )(inner)
         else:
-            return None
+            return None, "a carried value is not computable at the input vertex"
         carry_vecs.append((ba._slot_of[k], kern))
-        if k == cand_key:
-            cand_pos = 3 + 2 * i + 1
+    # The delivery's value columns: the address (the neighbour), then the
+    # carried keys in payload order.
+    col_of = {eval_step._loc_key: 0}
+    for i, k in enumerate(payload_keys):
+        col_of.setdefault(k, 1 + i)
+    test = None
+    if m.kind == "extremum":
+        cand = col_of.get(m.cand.key())
+        if cand is None:
+            return None, "the candidate must be carried to the neighbour"
+        value = lambda cols, _i=cand: cols[_i]  # noqa: E731
+        update = "min" if m.minimize else "max"
+    else:
+        leaf = _column_leaf(col_of)
+        value = _compile_vector_expr(m.value, leaf)
+        if value is None:
+            return None, "no vector kernel for the added value"
+        if m.test is not None:
+            test = _compile_vector_expr(m.test, leaf)
+            if test is None:
+                return None, "no vector kernel for the test"
+        # The dtype the kernel adds, from zero-length columns.
+        empty = np.empty(0, dtype=np.int64)
+        probe = [empty] + [
+            np.asarray(kern(0, empty, empty, empty)) for _slot, kern in carry_vecs
+        ]
+        kind = np.asarray(value(probe)).dtype.kind
+        if kind not in _ADDS_INTO.get(np.dtype(target_map.dtype).kind, ""):
+            return None, "the added value's dtype does not add into the target's"
+        update = "add"
+    slot_sig = tuple(slot for slot, _ in carry_vecs)
     return VectorPlan(
         generator=gen.source,
         eval_si=m.eval_si,
-        cand_key=cand_key,
         target_map=target_map,
-        minimize=m.minimize,
-        fused=m.source_local,
-        dependent=m.target.decl.name in ba.plan.dependent_props,
+        update=update,
+        value=value,
+        test=test,
+        fused=m.kind == "extremum" and m.source_local,
+        dependent=m.target.decl.name in plan.dependent_props,
         carry_vecs=carry_vecs,
-        slot_sig=tuple(slot for slot, _ in carry_vecs),
+        slot_sig=slot_sig,
         payload_len=3 + 2 * len(carry_vecs),
-        cand_pos=cand_pos,
-    )
+    ), ""

@@ -29,6 +29,7 @@ from .expr import (
     EDGE,
     VERTEX,
     BinOp,
+    BoolOp,
     Call,
     Compare,
     Const,
@@ -259,12 +260,8 @@ def is_source_local(expr: Expr, generator_source: str) -> bool:
         ):
             return True
         return False
-    if isinstance(expr, (BinOp, Compare)):
-        return is_source_local(expr.left, generator_source) and is_source_local(
-            expr.right, generator_source
-        )
-    if isinstance(expr, Call):
-        return all(is_source_local(a, generator_source) for a in expr.args)
+    if isinstance(expr, (BinOp, Compare, BoolOp, Call)):
+        return all(is_source_local(c, generator_source) for c in expr.children())
     return False
 
 
@@ -273,12 +270,17 @@ def fusion_report(plan) -> FusionReport:
 
     A reader of the planner's one decision, ``plan.confluence``: the round
     fuses when the action is an extremum update whose candidate is
-    source-local.  The vector tier additionally requires the bound maps to
-    be numeric (checked at bind time by the vector-shape recognizer).
+    source-local.  A sum never fuses: applying rank-local rows inline
+    would move them ahead of remote rows delivered earlier, and float
+    addition does not associate.  The vector tier additionally requires
+    the bound maps to be numeric (checked at bind time by the
+    vector-shape recognizer).
     """
     m = plan.confluence
     if m is None:
         return FusionReport(False, plan.confluence_reason)
+    if m.kind != "extremum":
+        return FusionReport(False, f"a {m.kind} update is order-sensitive")
     if not m.source_local:
         return FusionReport(False, "candidate must be computable at the input vertex")
     return FusionReport(True, "source-local candidate + confluent extremum update")

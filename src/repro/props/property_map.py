@@ -234,6 +234,20 @@ class VertexPropertyMap:
         np.maximum.at(arr, idx, values)
         return arr[local_idx] > before
 
+    def scatter_add(self, rank: int, local_idx: np.ndarray, values: np.ndarray) -> None:
+        """Bulk ``map[i] += val`` at the owning rank.
+
+        ``np.add.at`` is unbuffered and applies the (index, value) pairs
+        one at a time in index order, duplicates included, so each float
+        sum is bitwise the sequential per-row ``old + val`` — the batch
+        form of the merged ``+=`` handler.  Same contract as
+        :meth:`scatter_extremum`: the caller asserts locality and holds
+        the locks.
+        """
+        if self.dirty is not None:
+            self.dirty.mark_array(rank, local_idx)
+        np.add.at(self._slices[rank], local_idx, values)
+
     def __len__(self) -> int:
         return self.graph.n_vertices
 

@@ -15,6 +15,8 @@ mailboxes run dry (mirroring AM++'s end-of-epoch flush).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .layers import Emit, Layer
 from .wire import WireBatch
 
@@ -124,6 +126,37 @@ class CoalescingLayer(Layer):
             i += take
             if buf.nrows >= size:
                 self._flush_one(key, dest)
+
+    def send_rows_in_order(self, src: int, dests: np.ndarray, columns: WireBatch) -> None:
+        """Bulk-append rows bound for several destinations (``dests[i]``
+        for row ``i``), exactly as a :meth:`send` per row in order would.
+
+        Each destination's rows go through :meth:`send_rows`, cut where
+        its buffer fills, and the cuts run in row order: envelopes are
+        shipped in the order sequential sends ship them, and a new buffer
+        is created at its destination's first row (its key's position is
+        the end-of-epoch flush order).  A stable split per destination
+        keeps every envelope's contents but not that order, which the
+        ``fifo``/``lifo`` schedules deliver by.
+        """
+        size = self.buffer_size
+        order = np.argsort(dests, kind="stable")
+        ranks, first, counts = np.unique(dests, return_index=True, return_counts=True)
+        columns = columns.take(order)
+        lo = dict(zip(ranks.tolist(), (np.cumsum(counts) - counts).tolist()))
+        cuts: list = []  # (row that fills the buffer, dest, dest rows through it)
+        for i in np.argsort(first).tolist():
+            d, n = int(ranks[i]), int(counts[i])
+            buf = self._buffers[src if src >= 0 else d].setdefault(d, [])
+            rows = order[lo[d] :]
+            cuts += [(int(rows[c - 1]), d, c) for c in range(size - len(buf), n + 1, size)]
+        sent = dict.fromkeys(lo, 0)
+        for _, d, c in sorted(cuts):
+            self.send_rows(src, d, columns[lo[d] + sent[d] : lo[d] + c])
+            sent[d] = c
+        for d, n in zip(ranks.tolist(), counts.tolist()):
+            if sent[d] < n:
+                self.send_rows(src, d, columns[lo[d] + sent[d] : lo[d] + n])
 
     def _flush_one(self, src: int, dest: int) -> int:
         buf = self._buffers[src].get(dest)

@@ -159,6 +159,36 @@ def wl_sssp_delta(machine: Machine, graph_seed: int) -> dict[str, np.ndarray]:
     return {"dist": np.asarray(dist)}
 
 
+def _dyadic_edges(seed: int, n: int = 16) -> list:
+    """Out-degrees 1, 2 or 4 and no self-loops: with damping 0.5 every
+    PageRank intermediate is exactly representable, so float sums are
+    the same in any order (see test_chaos_differential.dyadic_graph)."""
+    rnd = random.Random(seed)
+    edges = []
+    for v in range(n):
+        deg = rnd.choice((1, 2, 4))
+        edges += [(v, u) for u in rnd.sample([u for u in range(n) if u != v], deg)]
+    return edges
+
+
+def wl_pagerank(machine: Machine, graph_seed: int) -> dict[str, np.ndarray]:
+    """PageRank's ``+=`` scatter, the vector tier's sum path, on a dyadic
+    graph: every delivery order gives the same bits, while a duplicated
+    or lost row changes them."""
+    g, _ = build_graph(
+        16, _dyadic_edges(graph_seed), n_ranks=N_RANKS, partition="cyclic"
+    )
+    rank = pagerank(
+        machine,
+        g,
+        damping=0.5,
+        iterations=10,
+        tol=None,
+        layers={"scatter": {"coalescing": 4}},
+    )
+    return {"rank": rank}
+
+
 Workload = Callable[[Machine, int], dict[str, np.ndarray]]
 
 WORKLOADS: dict[str, Workload] = {
@@ -167,6 +197,7 @@ WORKLOADS: dict[str, Workload] = {
     "cc": wl_cc,
     "accumulate": wl_accumulate,
     "sssp_delta": wl_sssp_delta,
+    "pagerank": wl_pagerank,
 }
 
 
@@ -564,19 +595,8 @@ class MutationConfig:
 def _mutation_base(cfg: MutationConfig):
     """The algorithm's base graph: (n, edges, weights, undirected)."""
     if cfg.algorithm == "pagerank":
-        # dyadic: power-of-two out-degrees + damping 0.5 make every
-        # intermediate exactly representable, so incremental replay is
-        # bit-identical (see test_chaos_differential.dyadic_graph)
-        rnd = random.Random(cfg.graph_seed)
-        n = 16
-        edges = []
-        for v in range(n):
-            deg = rnd.choice((1, 2, 4))
-            edges += [
-                (v, u)
-                for u in rnd.sample([u for u in range(n) if u != v], deg)
-            ]
-        return n, edges, None, False
+        # dyadic, so incremental replay is bit-identical
+        return 16, _dyadic_edges(cfg.graph_seed), None, False
     if cfg.algorithm == "cc":
         s, t = erdos_renyi(36, 70, seed=cfg.graph_seed)
         pairs = sorted(

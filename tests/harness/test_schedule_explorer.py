@@ -19,9 +19,11 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import ChaosConfig, ReliableConfig
+from repro.runtime.machine import Machine
 
 from tests.harness.schedule_explorer import (
     FAST_PATHS,
+    N_RANKS,
     RunConfig,
     Shrinker,
     _run_traced,
@@ -30,6 +32,7 @@ from tests.harness.schedule_explorer import (
     explore,
     run_config,
     sweep,
+    wl_pagerank,
 )
 
 # A seed for which ``default_chaos`` provably exposes the dedup_window=1
@@ -74,6 +77,23 @@ class TestSweep:
         assert len(sink) > 0, "the chaos run must have injected faults"
         kinds = {ev.kind for ev in sink}
         assert kinds & {"drop", "duplicate", "delay", "reorder"}
+
+
+    def test_pagerank_sum_path_survives_chaos_and_sees_duplicates(self):
+        """The ``pagerank`` workload runs the vector tier's ``+=`` path
+        under chaos bit-identically, and a duplicated row shows."""
+        cfg = RunConfig(
+            workload="pagerank", schedule="random", routing="direct", fast_path="vector"
+        )
+        oracle = run_config(cfg)
+        machine = Machine(
+            N_RANKS, fast_path="vector", chaos=default_chaos(2), reliable=ReliableConfig()
+        )
+        assert not compare(oracle, wl_pagerank(machine, cfg.graph_seed))
+        assert machine.stats.chaos.duplicated > 0
+        assert machine.stats.by_type["pat.PR.scatter"].vector_items > 0
+        result = _run_traced(cfg, default_chaos(2), BUGGY_RELIABLE, [])
+        assert compare(oracle, result)
 
 
 # ---------------------------------------------------------------------------

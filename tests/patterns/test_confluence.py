@@ -1,7 +1,8 @@
 """The planner's one legality decision: ``ActionPlan.confluence``.
 
-The planner matches the order-free extremum update once
-(:func:`~repro.patterns.planner.match_extremum`); fusion legality
+The planner matches an action's update class once
+(:func:`~repro.patterns.planner.match_confluence`: an order-free extremum
+or an order-sensitive sum); fusion legality
 (:func:`~repro.patterns.locality.fusion_report`), the vector recogniser and
 the fused message count read that match.  This file pins:
 
@@ -40,6 +41,7 @@ from repro.algorithms.sssp import (
 from repro.graph import build_graph
 from repro.patterns import Pattern, bind, compile_action, src, trg
 from repro.patterns.locality import fusion_report
+from repro.patterns.planner import Extremum
 from repro.runtime.machine import Machine
 
 OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -185,26 +187,27 @@ def _pagerank_async():
     return pagerank_async_pattern(1e-6)
 
 
-#: (pattern factory, action) -> (recognised, fused)
+#: (pattern factory, action) -> (recognised, fused, confluence class)
 SHIPPED = {
-    (sssp_pattern, "relax"): (True, True),
-    (sssp_pull_pattern, "update"): (False, False),
-    (sssp_predecessors_pattern, "relax"): (False, False),
-    (bfs_pattern, "hop"): (True, True),
-    (bfs_parent_pattern, "visit"): (False, False),
-    (cc_pattern, "cc_search"): (False, False),
-    (cc_pattern, "cc_jump"): (False, False),
-    (cc_label_pattern, "spread"): (True, True),
-    (pagerank_pattern, "scatter"): (False, False),
-    (_pagerank_async, "absorb"): (False, False),
-    (_pagerank_async, "spread"): (False, False),
-    (kcore_pattern, "drop"): (False, False),
-    (mis_pattern, "block"): (False, False),
-    (mis_pattern, "exclude"): (False, False),
-    (coloring_pattern, "block"): (False, False),
-    (coloring_pattern, "report"): (False, False),
-    (betweenness_pattern, "expand"): (False, False),
-    (betweenness_pattern, "push_back"): (False, False),
+    (sssp_pattern, "relax"): (True, True, "extremum"),
+    (sssp_pull_pattern, "update"): (False, False, None),
+    (sssp_predecessors_pattern, "relax"): (False, False, None),
+    (bfs_pattern, "hop"): (True, True, "extremum"),
+    (bfs_parent_pattern, "visit"): (False, False, None),
+    (cc_pattern, "cc_search"): (False, False, None),
+    (cc_pattern, "cc_jump"): (False, False, None),
+    (cc_label_pattern, "spread"): (True, True, "extremum"),
+    (pagerank_pattern, "scatter"): (True, False, "sum"),
+    (_pagerank_async, "absorb"): (False, False, None),
+    (_pagerank_async, "spread"): (True, False, "sum"),
+    # reads removed[u] at the neighbour: the test is not source-local
+    (kcore_pattern, "drop"): (False, False, None),
+    (mis_pattern, "block"): (False, False, None),
+    (mis_pattern, "exclude"): (False, False, None),
+    (coloring_pattern, "block"): (False, False, None),
+    (coloring_pattern, "report"): (False, False, None),
+    (betweenness_pattern, "expand"): (False, False, None),
+    (betweenness_pattern, "push_back"): (False, False, None),
 }
 
 
@@ -219,14 +222,18 @@ SHIPPED_IDS = [f"{f().name}.{a}" for f, a in SHIPPED]
 
 @pytest.mark.parametrize("factory,action", list(SHIPPED), ids=SHIPPED_IDS)
 def test_shipped_pattern_verdicts_agree(factory, action):
-    """Recognition, fusion and the fused count agree, action by action
-    (holds before and after the decision moved into the planner)."""
+    """Recognition, fusion, the confluence class and the fused count
+    agree, action by action; an unrecognised action names why."""
     ba = bind_shipped(factory, action)
     plan = ba.plan
     fusable = fusion_report(plan).fusable
-    assert (ba.vector_plan is not None, ba._fused) == SHIPPED[(factory, action)]
+    kind = plan.confluence.kind if plan.confluence is not None else None
+    assert (ba.vector_plan is not None, ba._fused, kind) == SHIPPED[(factory, action)]
     if ba.vector_plan is not None:
         assert ba._fused == fusable
+        assert ba.vector_reason == ""
+    else:
+        assert ba.vector_reason == plan.confluence_reason != ""
     assert plan.static_message_count(fused=True) == plan.static_message_count() - fusable
 
 
@@ -236,7 +243,10 @@ def test_shipped_pattern_verdicts_read_the_match(factory, action):
     match = ba.plan.confluence
     if ba.vector_plan is not None:
         assert match is not None
-    assert fusion_report(ba.plan).fusable == (match is not None and match.source_local)
+    # Only an (order-free) extremum may fuse; a sum is order-sensitive.
+    assert fusion_report(ba.plan).fusable == (
+        isinstance(match, Extremum) and match.source_local
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,18 @@ class TestCommands:
             out = capsys.readouterr().out
             assert "plan for" in out
 
+    def test_plan_prints_each_confluence_class(self, capsys):
+        """Each action's class, or the first requirement it misses."""
+        assert main(["plan", "--pattern", "pagerank"]) == 0
+        assert "  confluence: sum\n" in capsys.readouterr().out
+        assert main(["plan", "--pattern", "sssp"]) == 0
+        assert "  confluence: extremum\n" in capsys.readouterr().out
+        assert main(["plan", "--pattern", "cc"]) == 0
+        out = capsys.readouterr().out
+        search, jump = out.split("plan for CC.cc_jump")
+        assert "confluence: none (needs optimized mode with a single condition)" in search
+        assert "confluence: none (needs a builtin out_edges/adj generator)" in jump
+
     def test_plan_naive_mode(self, capsys):
         assert main(["plan", "--pattern", "sssp", "--mode", "naive"]) == 0
         assert "[naive]" in capsys.readouterr().out
