@@ -482,7 +482,7 @@ def cmd_serve(args) -> int:
     """Run the persistent graph service (docs/SERVICE.md).
 
     Loads the graph once, starts a :class:`~repro.service.GraphEngine`
-    (job queue, batching scheduler, versioned result cache) and its HTTP
+    (FIFO job queue, versioned result cache) and its HTTP
     API, then blocks until interrupted.  The bound port is printed at
     startup (``--port 0`` binds an ephemeral port)."""
     import time
@@ -509,16 +509,13 @@ def cmd_serve(args) -> int:
         graph,
         weights,
         max_pending=args.max_pending,
-        max_batch=args.max_batch,
-        batching=not args.no_batching,
         owns_machine=True,
     )
     server = ServiceServer(engine, host=args.host, port=args.port).start()
     print(
         f"serve: graph service on {server.url} "
         f"(POST /jobs, /stats, /metrics, /healthz); "
-        f"n={graph.n_vertices} ranks={args.ranks} "
-        f"batching={'on' if not args.no_batching else 'off'}"
+        f"n={graph.n_vertices} ranks={args.ranks}"
     )
     sys.stdout.flush()
     try:
@@ -534,7 +531,7 @@ def cmd_serve(args) -> int:
     snap = machine.stats.service
     print(
         f"serve: shut down after {snap.jobs_completed} job(s), "
-        f"{snap.batches_executed} fused batch(es), "
+        f"{snap.batches_executed} run(s), "
         f"{snap.cache_hits} cache hit(s)"
     )
     return 0
@@ -837,8 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_svc = sub.add_parser(
         "serve",
-        help="persistent graph service: job queue, batched multi-query "
-        "execution, versioned result cache (docs/SERVICE.md)",
+        help="persistent graph service: FIFO job queue, one run per job, "
+        "versioned result cache (docs/SERVICE.md)",
     )
     add_common(p_svc)
     p_svc.add_argument("--host", default="127.0.0.1")
@@ -849,14 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_svc.add_argument(
         "--max-pending", type=int, default=256,
         help="admission control: queued jobs beyond this are rejected (429)",
-    )
-    p_svc.add_argument(
-        "--max-batch", type=int, default=16,
-        help="most same-family jobs the scheduler groups into one step",
-    )
-    p_svc.add_argument(
-        "--no-batching", action="store_true",
-        help="execute every job sequentially (baseline/debugging)",
     )
     p_svc.add_argument(
         "--duration", type=float, default=None, metavar="SECONDS",

@@ -5,13 +5,10 @@ partitioned graph once and serves many concurrent algorithm jobs
 against it.  This package provides that service:
 
 * :mod:`~repro.service.engine` — :class:`GraphEngine`: owns one
-  :class:`~repro.runtime.machine.Machine` + graph, a job queue with
-  admission control, and a single executor thread.
-* :mod:`~repro.service.batching` — the batching scheduler: compatible
-  pending queries (same graph version, algorithm family) run as one
-  group of ``fixed_point`` runs over a pattern bound once per engine
-  (:mod:`repro.strategies.multi_source`), bit-identical to sequential
-  execution.
+  :class:`~repro.runtime.machine.Machine` + graph, a FIFO job queue with
+  admission control, and a single executor thread that runs one job at a
+  time on patterns bound once per engine (SSSP/BFS jobs are
+  ``fixed_point`` runs of ``relax`` / ``hop``).
 * :mod:`~repro.service.cache` — versioned result cache keyed by
   ``(graph_version, algorithm, canonical_params)``; mutation version
   bumps invalidate, LRU + byte budget bound residency.
@@ -19,18 +16,15 @@ against it.  This package provides that service:
   cancel/stats), wired into the ``repro serve`` CLI.
 """
 
-from .batching import BatchKey, batch_key
 from .cache import ResultCache
 from .engine import EngineBusy, GraphEngine, JobRecord, UnknownJob
 from .api import ServiceServer
 
 __all__ = [
-    "BatchKey",
     "EngineBusy",
     "GraphEngine",
     "JobRecord",
     "ResultCache",
     "ServiceServer",
     "UnknownJob",
-    "batch_key",
 ]

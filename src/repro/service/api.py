@@ -12,11 +12,12 @@ default with the bound port reported on ``.port`` — with job routes:
 * ``GET /jobs/<id>`` → one job snapshot.
 * ``GET /jobs/<id>/result[?wait=SECONDS]`` → **200** with the result
   once done, **202** while pending (after the optional wait), **409**
-  for failed/cancelled jobs.
+  for failed/cancelled jobs, **400** for a ``wait`` that is not a finite
+  number.
 * ``POST /jobs/<id>/cancel`` → **200** when cancelled, **409** when the
   job already ran.
 * ``GET /stats`` → engine snapshot (service counters, queue depth,
-  cache residency, batching config).
+  cache residency, queue limits).
 * ``GET /metrics`` / ``GET /healthz`` — the machine's reflective
   Prometheus export and watchdog verdicts, same as the observability
   server, so one port serves both queries and scrapes.
@@ -29,6 +30,7 @@ single executor thread.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -210,7 +212,16 @@ def _make_handler(engine: GraphEngine):
             job = engine.job(job_id)
             wait = query.get("wait")
             if wait is not None:
-                job.wait(timeout=min(float(wait), 60.0))
+                try:
+                    seconds = float(wait)
+                except ValueError:
+                    seconds = math.nan
+                if not math.isfinite(seconds):
+                    self._send_json(400, {
+                        "error": f"wait must be a finite number; got {wait!r}",
+                    })
+                    return
+                job.wait(timeout=min(seconds, 60.0))
             if job.status in ("queued", "running"):
                 self._send_json(202, job.snapshot())
             elif job.status == "done":

@@ -8,12 +8,12 @@ serves algorithm jobs against it:
   :class:`JobRecord`; past ``max_pending`` queued jobs it raises
   :class:`EngineBusy` (the HTTP front end maps this to 429).
 * **Single executor thread** — the machine is not thread-safe, so one
-  worker drains the queue.  At each step it asks the
-  :class:`~repro.service.batching.BatchingScheduler` for the head job's
-  compatibility group and runs it as ``fixed_point`` runs of the SSSP
-  ``relax`` / BFS ``hop`` action; non-batchable analytics (cc, pagerank)
-  run one at a time.  Every family's pattern is bound once, on its first
-  job, and reused: jobs never grow the message registry.
+  worker drains the queue in submission order, one job per run: SSSP
+  and BFS are ``fixed_point`` over the ``relax`` / ``hop`` action, CC
+  and PageRank their own drivers.  Every family's pattern is bound once,
+  on its first job, and reused: jobs never grow the message registry.
+  A job's ``messages_sent``, ``handler_calls`` and epoch range describe
+  its own run.
 * **Mutation barrier jobs** — ``algorithm="mutate"`` jobs apply a
   :class:`~repro.graph.mutate.MutationBatch` through
   :meth:`Machine.apply_mutations` at their queue position; the version
@@ -22,8 +22,8 @@ serves algorithm jobs against it:
 * **Rebalance barrier jobs** — ``algorithm="rebalance"`` jobs call
   :meth:`Machine.rebalance` at their queue position to repartition the
   graph (``partitioner`` param) and/or grow or shrink the rank count
-  (``n_ranks`` param).  Like mutations they run alone, bump the graph
-  version, and invalidate cached results.
+  (``n_ranks`` param).  Like mutations they bump the graph version and
+  invalidate cached results.
 * **Versioned result cache** — completed analytics land in a
   :class:`~repro.service.cache.ResultCache` keyed on
   ``(graph_version, algorithm, canonical_params)``; repeat submissions
@@ -48,8 +48,10 @@ import numpy as np
 
 from ..graph.mutate import MutationBatch
 from ..props.property_map import weight_map_from_array
-from .batching import MUTATION, BatchingScheduler, batch_key
 from .cache import ResultCache
+
+#: Barrier job that applies a :class:`MutationBatch` at its queue position.
+MUTATION = "mutate"
 
 #: Barrier job that repartitions (and optionally resizes) the engine's
 #: machine at its queue position; see :meth:`Machine.rebalance`.
@@ -65,6 +67,9 @@ PAGERANK_PARAMS = {
     "tol": (Real, lambda v: v >= 0, "a real >= 0"),
     "iterations": (Integral, lambda v: v >= 1, "an integer >= 1"),
 }
+
+#: Coalescing buffer of the SSSP ``relax`` / BFS ``hop`` bindings.
+COALESCING = 512
 
 #: Job lifecycle states.
 STATUSES = ("queued", "running", "done", "failed", "cancelled")
@@ -92,15 +97,14 @@ class JobRecord:
     #: Graph version the job executed against (set at execution time).
     graph_version: Optional[int] = None
     cache_hit: bool = False
-    #: Group accounting: which batch served this job and how wide it
-    #: was (size 1 == sequential execution).
+    #: Sequence number of the run that computed this job; ``batch_size``
+    #: is 1 for a computed job and 0 for a cache hit.
     batch_id: Optional[int] = None
     batch_size: int = 0
-    #: Logical message traffic of the group that served this job (the
-    #: group's total, reported by every member).
+    #: Logical message traffic of this job's run.
     messages_sent: int = 0
     handler_calls: int = 0
-    #: Telemetry pointers: epoch index range of the serving run.
+    #: Telemetry pointers: epoch index range of this job's run.
     epoch_first: Optional[int] = None
     epoch_last: Optional[int] = None
     error: Optional[str] = None
@@ -151,10 +155,6 @@ class GraphEngine:
         weight_by_gid=None,
         *,
         max_pending: int = 256,
-        max_batch: int = 16,
-        batching: bool = True,
-        coalescing: Optional[int] = 512,
-        cache: Optional[ResultCache] = None,
         owns_machine: bool = False,
         start: bool = True,
     ) -> None:
@@ -163,12 +163,8 @@ class GraphEngine:
         machine.attach_graph(graph)
         self.machine = machine
         self.graph = graph
-        self.batching = batching
         self.max_pending = max_pending
-        self.scheduler = BatchingScheduler(max_batch=max_batch, coalescing=coalescing)
-        self.cache = cache if cache is not None else ResultCache(machine.stats)
-        if self.cache.stats is None:
-            self.cache.stats = machine.stats
+        self.cache = ResultCache(machine.stats)
         self._owns_machine = owns_machine
         # Registered on the graph, so mutations and rebalances migrate it
         # in place: one SSSP binding over it serves the engine's lifetime.
@@ -181,7 +177,7 @@ class GraphEngine:
         self._jobs: Dict[str, JobRecord] = {}
         self._cv = threading.Condition()
         self._seq = 0
-        self._batch_seq = 0
+        self._run_seq = 0
         self._running = False
         self._worker: Optional[threading.Thread] = None
         if start:
@@ -335,8 +331,6 @@ class GraphEngine:
             "n_ranks": self.machine.n_ranks,
             "fast_path": self.machine.fast_path,
             "transport": type(self.machine.transport).__name__,
-            "batching": self.batching,
-            "max_batch": self.scheduler.max_batch,
             "max_pending": self.max_pending,
             "cache": self.cache.snapshot(),
         }
@@ -349,200 +343,156 @@ class GraphEngine:
                     self._cv.wait(0.05)
                 if not self._running and not self._queue:
                     return
-                group = self._claim_group()
-                if group is None:
+                job = self._claim()
+                if job is None:
                     continue
             try:
-                self._execute(group)
-            except Exception as exc:  # defensive: never kill the worker
-                for job in group:
-                    if job.status == "running":
-                        job.error = repr(exc)
-                        self._finish(job, "failed")
-                        self.machine.stats.count_service("jobs_failed")
+                self._execute(job)
+            except Exception as exc:  # the job fails; the worker lives on
+                if job.status == "running":
+                    job.error = repr(exc)
+                    self._finish(job, "failed")
+                    self.machine.stats.count_service("jobs_failed")
 
-    def _claim_group(self) -> Optional[List[JobRecord]]:
-        """Pop the next executable group (queue lock held)."""
+    def _claim(self) -> Optional[JobRecord]:
+        """Pop the queue head (queue lock held): jobs run in submission
+        order, whatever their family."""
         while self._queue and self._queue[0].status != "queued":
             self._queue.popleft()  # cancelled while waiting
         if not self._queue:
             return None
-        head = self._queue[0]
-        if head.algorithm in (MUTATION, REBALANCE) or not self.batching:
-            group = [self._queue.popleft()]
-        else:
-            group = self.scheduler.collect(self._queue, self.graph.version)
-            for job in group:
-                self._queue.remove(job)
-        now = time.time()
-        for job in group:
-            job.status = "running"
-            job.started_at = now
-            job.graph_version = self.graph.version
-        return group
+        job = self._queue.popleft()
+        job.status = "running"
+        job.started_at = time.time()
+        job.graph_version = self.graph.version
+        return job
 
-    def _execute(self, group: List[JobRecord]) -> None:
+    def _execute(self, job: JobRecord) -> None:
+        if job.algorithm == MUTATION:
+            self._execute_mutation(job)
+            return
+        if job.algorithm == REBALANCE:
+            self._execute_rebalance(job)
+            return
         stats = self.machine.stats
-        if group[0].algorithm == MUTATION:
-            self._execute_mutation(group[0])
-            return
-        if group[0].algorithm == REBALANCE:
-            self._execute_rebalance(group[0])
-            return
-        # -- cache pass (at execution time: the version is now final) -------
-        missing: List[JobRecord] = []
-        for job in group:
-            key = self.cache.key(job.graph_version, job.algorithm, job.params)
-            hit = self.cache.get(key)
-            if hit is not None:
-                job.cache_hit = True
-                job.batch_size = 0
-                job.result = hit
-                self._finish(job, "done")
-                stats.count_service("jobs_completed")
-            else:
-                missing.append(job)
-        if not missing:
-            return
-        # -- run ------------------------------------------------------------
-        self._batch_seq += 1
-        batch_id = self._batch_seq
-        sent0 = stats.total.sent_total
-        handled0 = stats.total.handler_calls
-        epoch0 = len(stats.epochs)
-        family = batch_key(missing[0].algorithm, self.graph.version)
-        try:
-            if family is not None:
-                results = self.scheduler.execute(
-                    self.machine, self.graph, self._weight, missing
-                )
-            else:
-                results = [self._run_one(job) for job in missing]
-        except Exception as exc:
-            for job in missing:
-                job.error = repr(exc)
-                self._finish(job, "failed")
-                stats.count_service("jobs_failed")
-            return
-        if len(missing) > 1:
-            stats.count_service("batches_executed")
-            stats.count_service("batched_jobs", len(missing))
+        # Key on the version stamped at claim time, NOT the live graph
+        # version: a mutation queued via Machine.queue_mutations applies at
+        # the epoch boundary inside this very run, and the computed fixed
+        # point belongs to the pre-mutation graph.
+        key = self.cache.key(job.graph_version, job.algorithm, job.params)
+        result = self.cache.get(key)
+        if result is not None:
+            job.cache_hit = True
         else:
-            stats.count_service("sequential_jobs")
-        sent = stats.total.sent_total - sent0
-        handled = stats.total.handler_calls - handled0
-        for job, result in zip(missing, results):
-            job.batch_id = batch_id
-            job.batch_size = len(missing)
-            job.messages_sent = sent
-            job.handler_calls = handled
+            sent0 = stats.total.sent_total
+            handled0 = stats.total.handler_calls
+            epoch0 = len(stats.epochs)
+            result = self._run_one(job)
+            self._run_seq += 1
+            stats.count_service("batches_executed")
+            job.batch_id = self._run_seq
+            job.batch_size = 1
+            job.messages_sent = stats.total.sent_total - sent0
+            job.handler_calls = stats.total.handler_calls - handled0
             job.epoch_first = epoch0
             job.epoch_last = len(stats.epochs) - 1
-            # Key on the version stamped at claim time, NOT the live
-            # graph version: a mutation queued via Machine.queue_mutations
-            # applies at the epoch boundary inside this very run, and the
-            # computed fixed point belongs to the pre-mutation graph.
-            key = self.cache.key(job.graph_version, job.algorithm, job.params)
             self.cache.put(key, result)
-            job.result = result
-            self._finish(job, "done")
-            stats.count_service("jobs_completed")
-        if self.graph.version != missing[0].graph_version:
-            # A queued mutation landed mid-run: reclaim entries keyed to
-            # superseded versions.
-            self.cache.invalidate(self.graph.version)
-        self.machine.flight.record(
-            "job_batch",
-            batch=batch_id,
-            size=len(missing),
-            algorithm=missing[0].algorithm,
-            sent=sent,
-        )
+            if self.graph.version != job.graph_version:
+                # A queued mutation landed mid-run: reclaim entries keyed
+                # to superseded versions.
+                self.cache.invalidate(self.graph.version)
+            self.machine.flight.record(
+                "job_run",
+                job=job.job_id,
+                algorithm=job.algorithm,
+                sent=job.messages_sent,
+                epoch_first=job.epoch_first,
+                epoch_last=job.epoch_last,
+            )
+        job.result = result
+        self._finish(job, "done")
+        stats.count_service("jobs_completed")
 
     def _run_one(self, job: JobRecord):
-        """Sequential execution of a non-batchable analytic, on a pattern
-        bound once per engine graph."""
+        """One run of the job's family, on a pattern bound once per engine
+        graph."""
+        from ..algorithms.bfs import bfs_fixed_point, bfs_pattern
         from ..algorithms.cc import cc_label_pattern, cc_label_propagation
         from ..algorithms.pagerank import pagerank, pagerank_pattern
+        from ..algorithms.sssp import bind_sssp, sssp_fixed_point
         from ..patterns.executor import bind, bind_once
 
-        m, g = self.machine, self.graph
+        m, g, w = self.machine, self.graph, self._weight
+        if job.algorithm == "sssp":
+            layers = {"relax": {"coalescing": COALESCING}}
+            bp = bind_once(m, ("sssp", g, w), lambda: bind_sssp(m, g, w, layers=layers))
+            return sssp_fixed_point(m, g, None, job.params["source"], bound=bp)
+        if job.algorithm == "bfs":
+            layers = {"hop": {"coalescing": COALESCING}}
+            bp = bind_once(m, ("bfs", g), lambda: bind(bfs_pattern(), m, g, layers=layers))
+            return bfs_fixed_point(m, g, job.params["source"], bound=bp)
         if job.algorithm == "cc":
             bp = bind_once(m, ("cc", g), lambda: bind(cc_label_pattern(), m, g))
             return cc_label_propagation(m, g, bound=bp)
-        if job.algorithm == "pagerank":
-            bp = bind_once(m, ("pagerank", g), lambda: bind(pagerank_pattern(), m, g))
-            return pagerank(m, g, bound=bp, **job.params)
-        raise ValueError(f"no sequential runner for {job.algorithm!r}")
+        bp = bind_once(m, ("pagerank", g), lambda: bind(pagerank_pattern(), m, g))
+        return pagerank(m, g, bound=bp, **job.params)
 
     def _execute_mutation(self, job: JobRecord) -> None:
-        stats = self.machine.stats
-        try:
-            batch = MutationBatch(undirected=bool(job.params.get("undirected")))
-            strict = bool(job.params.get("strict", True))
-            for u, v, *w in job.params.get("insert", ()):
-                batch.insert_edge(int(u), int(v), w[0] if w else None)
-            for u, v in job.params.get("delete", ()):
-                batch.delete_edge(int(u), int(v), strict=strict)
-            for u, v, w in job.params.get("update", ()):
-                batch.update_weight(int(u), int(v), float(w))
-            if job.params.get("add_vertices"):
-                batch.add_vertices(int(job.params["add_vertices"]))
-            delta = self.machine.apply_mutations(batch, weight_map=self._weight)
-            self.cache.invalidate(self.graph.version)
-            stats.count_service("mutations_applied")
-            job.graph_version = self.graph.version
-            job.result = {
-                "graph_version": self.graph.version,
-                "edges_inserted": len(delta.inserted),
-                "edges_removed": len(delta.removed),
-                "weights_updated": len(delta.updated),
-                "n_vertices": self.graph.n_vertices,
-            }
-            self._finish(job, "done")
-            stats.count_service("jobs_completed")
-            self.machine.flight.record(
-                "job_mutation", job=job.job_id, version=self.graph.version
-            )
-        except Exception as exc:
-            job.error = repr(exc)
-            self._finish(job, "failed")
-            stats.count_service("jobs_failed")
+        batch = MutationBatch(undirected=bool(job.params.get("undirected")))
+        strict = bool(job.params.get("strict", True))
+        for u, v, *w in job.params.get("insert", ()):
+            batch.insert_edge(int(u), int(v), w[0] if w else None)
+        for u, v in job.params.get("delete", ()):
+            batch.delete_edge(int(u), int(v), strict=strict)
+        for u, v, w in job.params.get("update", ()):
+            batch.update_weight(int(u), int(v), float(w))
+        if job.params.get("add_vertices"):
+            batch.add_vertices(int(job.params["add_vertices"]))
+        delta = self.machine.apply_mutations(batch, weight_map=self._weight)
+        self.cache.invalidate(self.graph.version)
+        self.machine.stats.count_service("mutations_applied")
+        job.graph_version = self.graph.version
+        job.result = {
+            "graph_version": self.graph.version,
+            "edges_inserted": len(delta.inserted),
+            "edges_removed": len(delta.removed),
+            "weights_updated": len(delta.updated),
+            "n_vertices": self.graph.n_vertices,
+        }
+        self._finish(job, "done")
+        self.machine.stats.count_service("jobs_completed")
+        self.machine.flight.record(
+            "job_mutation", job=job.job_id, version=self.graph.version
+        )
 
     def _execute_rebalance(self, job: JobRecord) -> None:
         """Barrier job: repartition (and optionally resize) the machine.
 
-        Runs alone at its queue position — the executor thread is the
-        only machine user, so the epoch-boundary quiescence
+        Runs at its queue position — the executor thread is the only
+        machine user, so the epoch-boundary quiescence
         :meth:`Machine.rebalance` demands holds by construction.  The
         version bump invalidates cached results keyed to the old
         placement, exactly like a mutation barrier.
         """
-        stats = self.machine.stats
-        try:
-            quality = self.machine.rebalance(
-                new_ranks=job.params.get("n_ranks"),
-                partitioner=job.params.get("partitioner"),
-            )
-            self.cache.invalidate(self.graph.version)
-            job.graph_version = self.graph.version
-            job.result = dict(
-                quality.as_dict(),
-                graph_version=self.graph.version,
-                n_ranks=self.machine.n_ranks,
-            )
-            self._finish(job, "done")
-            stats.count_service("jobs_completed")
-            self.machine.flight.record(
-                "job_rebalance",
-                job=job.job_id,
-                ranks=self.machine.n_ranks,
-                partitioner=quality.kind,
-            )
-        except Exception as exc:
-            job.error = repr(exc)
-            self._finish(job, "failed")
-            stats.count_service("jobs_failed")
+        quality = self.machine.rebalance(
+            new_ranks=job.params.get("n_ranks"),
+            partitioner=job.params.get("partitioner"),
+        )
+        self.cache.invalidate(self.graph.version)
+        job.graph_version = self.graph.version
+        job.result = dict(
+            quality.as_dict(),
+            graph_version=self.graph.version,
+            n_ranks=self.machine.n_ranks,
+        )
+        self._finish(job, "done")
+        self.machine.stats.count_service("jobs_completed")
+        self.machine.flight.record(
+            "job_rebalance",
+            job=job.job_id,
+            ranks=self.machine.n_ranks,
+            partitioner=quality.kind,
+        )
 
     def _finish(self, job: JobRecord, status: str) -> None:
         job.status = status

@@ -19,7 +19,6 @@ from .incremental import (
     cc_delta_restart,
     sssp_delta_restart,
 )
-from .multi_source import bfs_multi, sssp_multi
 from .once import once
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "delta_stepping_spmd",
     "fixed_point",
     "light_heavy_sssp_pattern",
-    "bfs_multi",
-    "sssp_multi",
     "once",
     "run_until_quiet",
     "sssp_delta_restart",

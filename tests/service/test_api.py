@@ -94,10 +94,11 @@ class TestConcurrentSubmissions:
         stats = json.loads(body)
         assert status == 200
         assert stats["service"]["jobs_completed"] == 16
-        # HTTP arrival order is racy, but the worker drains slower than
-        # 16 localhost POSTs land: fusion must have happened
-        assert stats["service"]["batches_executed"] >= 1
-        assert stats["service"]["batched_jobs"] >= 2
+        # 16 distinct sources: one run per job, each with its own traffic
+        assert stats["service"]["batches_executed"] == 16
+        for job_id in accepted:
+            job = json.loads(scrape(url + f"/jobs/{job_id}")[1])
+            assert job["batch_size"] == 1 and job["messages_sent"] > 0, job
 
     def test_repeat_submissions_hit_the_cache(self, served):
         url, eng, _, _ = served
@@ -144,6 +145,11 @@ class TestRoutesAndStatusCodes:
         assert status == 400 and "unknown algorithm" in body
         status, body = post_job(url, "sssp", {"source": g.n_vertices})
         assert status == 400 and "out of range" in body
+        _, body = post_job(url, "bfs", {"source": 0})
+        job_id = json.loads(body)["job_id"]
+        for wait in ("abc", "nan", "inf"):
+            status, body = scrape(url + f"/jobs/{job_id}/result?wait={wait}")
+            assert status == 400 and "wait must be a finite number" in body
 
     def test_bad_pagerank_params_are_400(self, served):
         url, _, _, _ = served

@@ -132,7 +132,7 @@ class TestEngineCacheLoop:
             eng.close()
 
     def test_cached_batch_members_short_circuit(self):
-        """A fused batch whose members were all cached runs nothing."""
+        """Queued repeats of cached jobs run nothing."""
         g, wg = instance()
         eng = GraphEngine(Machine(4, fast_path="vector"), g, wg)
         try:

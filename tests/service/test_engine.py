@@ -233,9 +233,55 @@ class TestStatsSnapshot:
         assert snap["service"]["jobs_submitted"] == 1
         assert snap["service"]["jobs_completed"] == 1
         assert snap["graph_version"] == 0
-        assert snap["batching"] is True
+        assert snap["max_pending"] == 256
         assert snap["cache"]["entries"] == 1
         assert snap["transport"] == "SimTransport"
+
+
+class TestOneJobPerRun:
+    """The worker claims the queue head and runs it alone: jobs start in
+    submission order and each reports the accounting of its own run."""
+
+    def test_jobs_start_in_submission_order(self):
+        g, wg = instance()
+        with GraphEngine(Machine(4, fast_path="vector"), g, wg) as eng:
+            with eng._cv:  # hold the executor until all three are queued
+                jobs = [
+                    eng.submit("sssp", {"source": 0}),
+                    eng.submit("pagerank", {"iterations": 3}),
+                    eng.submit("sssp", {"source": 5}),
+                ]
+            for job in jobs:
+                assert job.wait(timeout=30) and job.status == "done", job.error
+        starts = [j.started_at for j in jobs]
+        assert starts == sorted(starts) and len(set(starts)) == 3, starts
+        assert [j.batch_id for j in jobs] == [1, 2, 3]
+
+    def test_each_job_reports_its_own_run(self):
+        g, wg = instance()
+        m = Machine(4, fast_path="vector")
+        with GraphEngine(m, g, wg) as eng:
+            with eng._cv:
+                ranks = eng.submit("pagerank", {"iterations": 3})
+                jobs = [eng.submit("sssp", {"source": s}) for s in (0, 5)]
+            for job in [ranks, *jobs]:
+                assert job.wait(timeout=30) and job.status == "done", job.error
+        for job in jobs:
+            with GraphEngine(Machine(4, fast_path="vector"), g, wg) as alone:
+                ref = alone.submit("sssp", dict(job.params))
+                assert ref.wait(timeout=30) and ref.status == "done", ref.error
+            assert np.array_equal(job.result, ref.result)
+            assert job.messages_sent > 0
+            assert (job.messages_sent, job.handler_calls) == (
+                ref.messages_sent,
+                ref.handler_calls,
+            )
+        runs = [ranks, *jobs]
+        for before, after in zip(runs, runs[1:]):
+            assert before.epoch_first <= before.epoch_last < after.epoch_first
+        events = [e for e in m.flight.events() if e["kind"] == "job_run"]
+        assert [e["job"] for e in events] == [j.job_id for j in runs]
+        assert [e["sent"] for e in events] == [j.messages_sent for j in runs]
 
 
 class TestBindOnce:
