@@ -539,6 +539,7 @@ def cmd_serve(args) -> int:
 
 def cmd_plan(args) -> int:
     from .patterns import compile_action
+    from .patterns.fastpath import lowering_verdicts
 
     if args.pattern == "sssp":
         from .algorithms import sssp_pattern
@@ -560,7 +561,7 @@ def cmd_plan(args) -> int:
     print()
     for action in pattern.actions.values():
         plan = compile_action(action, args.mode)
-        print(plan.describe())
+        print(plan.describe([f"vector: {v}" for v in lowering_verdicts(plan)]))
         m = plan.confluence
         print(f"  confluence: {m.kind}" if m else f"  confluence: none ({plan.confluence_reason})")
         print()

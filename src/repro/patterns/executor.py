@@ -27,6 +27,7 @@ to ``work_many``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from functools import partial
 from itertools import groupby
 from typing import Callable, Optional, Union
@@ -61,11 +62,20 @@ from .expr import (
     unalias,
 )
 from ..runtime.coalescing import CoalescingLayer
-from .fastpath import _MISSING, VectorPlan, compile_steps, recognize_vector_shape
+from .fastpath import (
+    _MISSING,
+    ColumnDryRun,
+    ColumnLowering,
+    VectorPlan,
+    compile_steps,
+    recognize_vector_shape,
+)
 from .pattern import Pattern, PropertyDecl, default_for
 from .planner import ActionPlan, compile_action
 
 WorkHook = Callable[..., None]  # work(ctx, vertex); work_many(ctx, int64 array)
+
+_NONE = np.empty(0, dtype=np.int64)  # no rows
 
 
 class _Evaluator:
@@ -171,17 +181,22 @@ class BoundAction:
         # rank-local edges are applied inline and remote rows are deduped
         # before the wire.  Recognized does not imply fused (a src(e)
         # candidate is not source-local, a sum is order-sensitive).
-        # Unrecognized shapes fall back to the compiled walk;
-        # ``vector_reason`` says why.
+        # Unrecognized shapes (``vector_reason`` says why) run their step
+        # chain as column stages in arrival order (``lowering``), each row
+        # resuming the compiled walk at the first step no stage expresses.
         fp = bound.machine.fast_path
         self._compiled = compile_steps(self) if fp != "off" else None
         self._walk_fn = self._walk if self._compiled is None else self._walk_compiled
         self.vector_plan: Optional[VectorPlan] = None
         self.vector_reason = f"fast_path={fp!r} has no vector tier"
+        self.lowering: Optional[ColumnLowering] = None
         if fp == "vector":
             self.vector_plan, self.vector_reason = recognize_vector_shape(self)
             if self.vector_plan is None:
                 bound.machine.stats.count_fusion("fallbacks")
+                lowering = ColumnLowering(self)
+                if lowering.lowers:
+                    self.lowering = lowering
         # Bulk column sends may bypass the per-payload layer walk only when
         # the stack is exactly one coalescing layer (flush boundaries are
         # then reproduced precisely; any other layer must see each row).
@@ -197,6 +212,10 @@ class BoundAction:
             # Merged delivery reorders envelopes: legal only where the
             # planner proved the update confluent (an extremum, not a sum).
             self.mtype.order_free = self.vector_plan.order_free
+        elif self.lowering is not None:
+            # Arrival order decides claims and sends: never merged, fused
+            # or deduped (``order_free`` stays False).
+            self.mtype.batch_handler = self._lowered_batch_handler
 
     @property
     def _fused(self) -> bool:
@@ -885,6 +904,171 @@ class BoundAction:
             ctx.stats.count_work_item(len(dv))
             self.fire_work(ctx, dv)
 
+    # -- tier 2b: a step chain as column stages, in arrival order ---------------------
+    def _lowered_batch_handler(self, ctx, payloads) -> None:
+        """Delivery of one envelope of a lowered action (no confluence class).
+
+        The envelope is cut into runs of one resume point in arrival order
+        (consecutive generator starts are one run); each run walks the
+        plan's steps as column stages (:meth:`_run_lowered`).  A run whose
+        first step has no stage, or whose starts have no column generator,
+        is handed to the scalar handler row by row.
+        """
+        with np.errstate(all="ignore"):  # the row walk's float semantics
+            vectorized = self._lowered_deliver(ctx, payloads)
+        if vectorized:
+            ctx.stats.count_vector_items(self.mtype.name, vectorized)
+        tel = ctx.machine.telemetry
+        if tel.spans_on:
+            tel.annotate(vectorized=vectorized, fallback=len(payloads) - vectorized)
+
+    def _lowered_deliver(self, ctx, payloads) -> int:
+        """Run an envelope's runs; returns the payloads no row of which
+        resumed the row walk."""
+        low = self.lowering
+        vectorized = 0
+        for ci, si, slots, cols, rows in self._lowered_runs(payloads):
+            n = len(cols[0])
+            run = None
+            if ci == -1:
+                starts = np.asarray(cols[0], dtype=np.int64)
+                run = low.start_rows(ctx.rank, starts)
+                if run is not None:
+                    keys, env, x, start = run
+                    run = (0, 0, keys, env, x, start)
+            elif all(c.ndim == 1 for c in cols):
+                keys = tuple(self._key_of[s] for s in slots)
+                env = dict(zip(keys, cols[1:]))
+                loc_key = self.plan.cond_plans[ci].steps[si]._loc_key
+                env.setdefault(loc_key, cols[0])
+                keys = tuple(env)
+                if low.stage(ci, si, keys).kind != "fallback":
+                    x = np.asarray(cols[0], dtype=np.int64)
+                    run = (ci, si, keys, env, x, None)
+            if run is None:
+                ctx.stats.count_fusion("row_fallbacks", n)
+                for p in rows():
+                    self._handler(ctx, p)
+                continue
+            ci, si, keys, env, x, start = run
+            fell = self._run_lowered(ctx, ci, si, keys, env, x)
+            if start is not None and len(fell):
+                fell = np.unique(start[fell])
+            vectorized += n - len(fell)
+        return vectorized
+
+    def _lowered_runs(self, payloads):
+        """``(ci, si, slots, columns, rows)`` per run of one resume point,
+        in arrival order: ``columns`` holds the address and each carried
+        value as arrays, ``rows()`` the run's payload tuples."""
+        if isinstance(payloads, WireBatch):
+            width = payloads.ncols
+            sig = [payloads.col_const(i) for i in (1, 2, *range(3, width, 2))]
+            if None not in sig:
+                cols = [payloads.column(0), *(payloads.column(i) for i in range(4, width, 2))]
+                yield sig[0], sig[1], tuple(sig[2:]), cols, payloads._materialize
+                return
+            payloads = payloads._materialize()
+        for (ci, si, slots), run in groupby(payloads, key=lambda p: (p[1], p[2], p[3::2])):
+            run = tuple(run)
+            vals = list(zip(*run))
+            cols = [np.array(vals[0]), *(np.array(vals[i]) for i in range(4, len(vals), 2))]
+            yield ci, si, slots, cols, (lambda _r=run: _r)
+
+    def _run_lowered(self, ctx, ci, si, keys, env, x) -> np.ndarray:
+        """Run rows standing at step ``(ci, si)`` (columns ``env`` in key
+        order ``keys``, vertices ``x``) as column stages, prefix by prefix.
+
+        Each dry run (:class:`~repro.patterns.fastpath.ColumnDryRun`) reads
+        the state at the start of the rows left; its prefix up to
+        :meth:`~repro.patterns.fastpath.ColumnDryRun.end` is written under
+        the rows' locks and then replayed in row order (:meth:`_emit_lowered`).
+        Returns the rows handed back to the row walk.
+        """
+        low = self.lowering
+        lockmap = self.bound.lockmap
+        fell = [_NONE]
+        lo, m = 0, len(x)
+        xl = self.bound.graph.partition.local_index_array(x)
+        while lo < m:
+            rest = {k: c[lo:] for k, c in env.items()} if lo else env
+            with lockmap.lock_many(x[lo:]) if lockmap.concurrent else nullcontext():
+                dry = ColumnDryRun(low, ctx.rank, ci, si, keys, rest, x[lo:], xl[lo:])
+                end = dry.end()
+                dry.apply(end)
+            fell.append(lo + self._emit_lowered(ctx, dry, end))
+            lo += end + 1
+        return np.concatenate(fell)
+
+    def _emit_lowered(self, ctx, dry, end: int) -> np.ndarray:
+        """Replay rows ``0..end`` of a dry run whose writes are applied:
+        counters, then in row order each row's sends, work-hook calls
+        (the hook may send) and resumed row walks, as the row walk makes
+        them.  Returns the resumed rows."""
+        n = end + 1
+        machine, rank = ctx.machine, ctx.rank
+        self.assign_count += int(dry.assigns[:n].sum())
+        self.change_count += int(dry.changes[:n].sum())
+        work = dry.work[:n]
+        n_work = int(work.sum())
+        if n_work:
+            ctx.stats.count_work_item(n_work)
+        fell = events = np.flatnonzero(dry.fallback_of[:n] >= 0) if dry.fallbacks else _NONE
+        hook = self._work
+        if hook is not None and n_work:
+            events = np.union1d(np.flatnonzero(work), fell)
+        lay, layouts = dry.exit_layouts(n)
+        batches = []
+        for ci, si, keys, rows, env in layouts:
+            step = self.plan.cond_plans[ci].steps[si]
+            dest = np.asarray(env[step._loc_key], dtype=np.int64)
+            cols: list = [dest, ci, si]
+            for k in keys:
+                if k in step._carry:
+                    cols += (self._slot_of[k], env[k])
+            batches.append((WireBatch(cols, len(rows)), self._owners(machine, dest), rows))
+        if not len(events) and len(batches) == 1:  # the common case: one send
+            self._send_columns(machine, rank, *batches[0][:2])
+            return fell
+        pos = np.empty(n, dtype=np.int64)
+        for _, _, rows in batches:
+            pos[rows] = np.arange(len(rows))
+        sends = np.flatnonzero(lay >= 0)
+
+        def send(rows: np.ndarray) -> None:
+            """The exits of ``rows`` (ascending), one batch per layout run."""
+            ls = lay[rows]
+            cut = (np.flatnonzero(ls[1:] != ls[:-1]) + 1).tolist()
+            for a, b in zip([0, *cut], [*cut, len(rows)]):
+                batch, owners, _ = batches[ls[a]]
+                lo = int(pos[rows[a]])
+                hi = lo + b - a
+                if hi - lo < batch.nrows:
+                    batch, owners = batch.take(slice(lo, hi)), owners[lo:hi]
+                self._send_columns(machine, rank, batch, owners)
+
+        done = 0  # position in ``sends``
+        for e in events.tolist():
+            k = int(np.searchsorted(sends, e))
+            if k > done:
+                send(sends[done:k])
+                done = k
+            v = int(dry.x[e])
+            if hook is not None:
+                for _ in range(int(work[e])):
+                    hook(ctx, v)
+            f = int(dry.fallback_of[e])
+            if f >= 0:
+                g = dry.fallbacks[f]
+                j = int(np.searchsorted(g.rows, e))
+                env = {k: c[j].item() if isinstance(c[j], np.generic) else c[j] for k, c in g.env.items()}
+                self._walk_fn(ctx, v, g.ci, g.si, env)
+        if done < len(sends):
+            send(sends[done:])
+        if len(fell):
+            ctx.stats.count_fusion("row_fallbacks", len(fell))
+        return fell
+
     # -- introspection ------------------------------------------------------------
     def describe(self) -> str:
         return self.plan.describe()
@@ -906,6 +1090,7 @@ class BoundAction:
         self.mtype.order_free = False
         self.bound = None
         self.vector_plan = None
+        self.lowering = None
         self._compiled = None
         self._walk_fn = None
         self._work = self._work_many = None

@@ -44,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..props.property_map import EdgePropertyMap, VertexPropertyMap
+from ..props.property_map import EdgePropertyMap, LocalityError, VertexPropertyMap
 from .action import Assign, AugAdd, ModifyCall
 from .expr import (
     EDGE,
@@ -644,3 +644,570 @@ def recognize_vector_shape(ba) -> tuple[Optional[VectorPlan], str]:
         slot_sig=slot_sig,
         payload_len=3 + 2 * len(carry_vecs),
     ), ""
+
+
+# ---------------------------------------------------------------------------
+# Tier 2b: the in-order column lowering of a step chain
+# ---------------------------------------------------------------------------
+#
+# An action with no confluence class runs its plan's steps as column
+# stages: a run of rows standing at one resume point walks the chain one
+# step at a time, every row reading the state at the start of the run plus
+# its own writes.  A row's work reads and writes only at the vertex its
+# message is addressed to (reads and merged modifications sit at their
+# step's locality, and every inline step has the row's vertex as its
+# locality), so rows at distinct vertices commute and only rows sharing a
+# vertex can see each other.  :class:`ColumnDryRun` records what each row
+# would write, send and hand to the work hook; the executor applies the
+# prefix that reading the run-start state cannot have changed
+# (:meth:`ColumnDryRun.end`) and walks the rest again on the new state.
+
+
+def _expr_reason(expr: Expr, numeric: Callable) -> str:
+    """Why no column kernel evaluates ``expr`` ("" when one does)."""
+    expr = unalias(expr)
+    if isinstance(expr, Contains):
+        return f"{expr.read.decl.name} is a set (membership test)"
+    if isinstance(expr, PropRead):
+        if not numeric(expr.decl):
+            return f"{expr.decl.name} is not numeric"
+        return _expr_reason(expr.index, numeric)
+    if isinstance(expr, Const):
+        ok = isinstance(expr.value, (int, float, bool))
+        return "" if ok else f"the constant {expr.value!r} is not numeric"
+    if isinstance(expr, (BinOp, Compare)) and expr.op not in _UFUNCS:
+        return f"no column operator for {expr.op!r}"
+    if isinstance(expr, Call) and expr.fn_name not in ("abs", "min", "max"):
+        return f"no column kernel for {expr.fn_name}()"
+    for child in expr.children():
+        reason = _expr_reason(child, numeric)
+        if reason:
+            return reason
+    return ""
+
+
+def step_reason(step, numeric: Callable) -> str:
+    """Why no column stage runs plan step ``step`` ("" when one does).
+
+    ``numeric(decl)`` says whether a property's values are numeric
+    (binding time asks the bound map; ``repro plan`` the declaration).
+    """
+    exprs = [*step.reads, *step.routing, *step.folds]
+    if step.test is not None:
+        exprs.append(step.test)
+    for m in step.mods:
+        name = m.target.decl.name
+        if isinstance(m, ModifyCall):
+            return f"{m.method} into the set {name}"
+        if m.target.decl.target_kind == EDGE:
+            return f"writes the edge property {name}"
+        if not numeric(m.target.decl):
+            return f"{name} is not numeric"
+        exprs.append(m.value)
+    for e in exprs:
+        reason = _expr_reason(e, numeric)
+        if reason:
+            return reason
+    return ""
+
+
+def _decl_numeric(decl) -> bool:
+    return decl.value_kind != "set" and decl.dtype is not object
+
+
+def lowering_verdicts(plan, numeric: Callable = _decl_numeric) -> list:
+    """One line per condition: how the vector tier runs it when the
+    action has no confluence class (``repro plan`` prints these).
+
+    ``lowered (first_come)`` is a :class:`~repro.patterns.planner.FirstCome`
+    claim, ``lowered (assign)`` a masked write merged into the eval step,
+    ``lowered (mask)`` an eval mask whose writes follow in modify steps;
+    ``falls back (step k: why)`` names the first step no column stage
+    expresses, where each row resumes the row walk.  An action with a
+    confluence class runs its batch kernel instead (``lowered (extremum)``
+    or ``lowered (sum)``) when the binding admits it.
+    """
+    if plan.confluence is not None:
+        return [f"lowered ({plan.confluence.kind})"] * len(plan.cond_plans)
+    if plan.mode != "optimized":
+        return ["falls back (naive plans run the row walk)"] * len(plan.cond_plans)
+    out = []
+    for cp in plan.cond_plans:
+        reason = next(
+            (f"step {i}: {r}" for i, s in enumerate(cp.steps) if (r := step_reason(s, numeric))),
+            "",
+        )
+        if reason:
+            out.append(f"falls back ({reason})")
+        elif cp.first_come is not None:
+            out.append("lowered (first_come)")
+        else:
+            out.append(f"lowered ({'assign' if cp.merged and cp.steps[-1].mods else 'mask'})")
+    return out
+
+
+@dataclass
+class _ColumnMod:
+    """One modification as a column stage."""
+
+    pm: VertexPropertyMap
+    dtype: np.dtype
+    add: bool  # ``+=`` (else ``=``)
+    value: Callable  # kernel(env, rows)
+    dependent: bool  # a change is a work item
+    refresh: tuple  # env key holding the target's value, refreshed on change
+
+
+@dataclass
+class ColumnStage:
+    """Plan step ``(ci, si)`` for one env layout, as a column stage."""
+
+    kind: str  # 'elide' | 'gather' | 'eval' | 'modify' | 'fallback'
+    loc_key: tuple
+    ops: list  # gather: [(key, kernel)] adding env keys; eval: the reads
+    keys_out: tuple  # the env layout after the stage
+    test: Optional[Callable] = None
+    mods: Optional[list] = None
+    claim: object = _MISSING  # first_come: the sentinel ``c``
+    on_true: Optional[tuple] = None  # next (ci, si); None: the walk ends
+    on_false: Optional[tuple] = None
+
+
+class ColumnLowering:
+    """The vector tier's in-order lowering of one bound action's plan.
+
+    Stages are compiled per ``(ci, si, env layout)`` on first use: the
+    keys a row carries decide which reads a gather still performs and
+    which expression nodes are columns, as they decide elision and
+    evaluation in the row walk.
+    """
+
+    def __init__(self, ba) -> None:
+        self.plan = ba.plan
+        self.maps = ba.bound.maps
+        self.graph = ba.bound.graph
+        self._stages: dict = {}
+        numeric = lambda decl: getattr(self.maps.get(decl.name), "is_numeric", False)  # noqa: E731
+        self.reasons = {
+            (ci, si): step_reason(s, numeric)
+            for ci, cp in enumerate(self.plan.cond_plans)
+            for si, s in enumerate(cp.steps)
+        }
+        #: Worth installing: optimized mode and some step has a stage.
+        self.lowers = self.plan.mode == "optimized" and not all(self.reasons.values())
+        #: A row handed back to the row walk may write an edge property
+        #: that a row at another vertex reads.
+        self.writes_edges = any(
+            m.target.decl.target_kind == EDGE
+            for cp in self.plan.cond_plans
+            for s in cp.steps
+            for m in s.mods
+        )
+
+    def stage(self, ci: int, si: int, keys: tuple) -> ColumnStage:
+        st = self._stages.get((ci, si, keys))
+        if st is None:
+            st = self._stages[(ci, si, keys)] = self._compile(ci, si, keys)
+        return st
+
+    def start_rows(self, rank: int, starts: np.ndarray) -> Optional[tuple]:
+        """The generator's rows for a run of starts owned by ``rank``:
+        ``(keys, env, x, start)``, where ``start[i]`` is the position of
+        row ``i``'s start, in the order the row walk generates them; None
+        when the generator has no column form (``in_edges``, a set)."""
+        action = self.plan.action
+        gen = action.generator
+        input_key = action.input.key()
+        if gen is None:
+            return (input_key,), {input_key: starts}, starts, np.arange(len(starts))
+        if not gen.is_builtin or gen.source == "in_edges":
+            return None
+        csr = self.graph.locals[rank]
+        vloc = self.graph.partition.local_index_array(starts)
+        start, eidx = edge_index_arrays(csr.indptr, vloc)
+        x, t = starts[start], csr.targets[eidx]
+        gen_key = gen.var.key()
+        if gen.source == "adj":
+            return (input_key, gen_key), {input_key: x, gen_key: t}, x, start
+        src_key, trg_key = SrcOf(gen.var).key(), TrgOf(gen.var).key()
+        gid = eidx + self.graph.edge_offsets[rank]
+        env = {input_key: x, gen_key: gid, src_key: x, trg_key: t}
+        return tuple(env), env, x, start
+
+    # -- compilation ----------------------------------------------------------
+    def _leaf(self, have: set, loc_key) -> Callable:
+        maps = self.maps
+
+        def leaf(expr: Expr) -> Optional[Callable]:
+            k = expr.key()
+            if k in have:
+                return lambda env, rows, _k=k: env[_k]
+            if not isinstance(expr, PropRead):
+                return None
+            pm = maps.get(expr.decl.name)
+            if pm is None or not pm.is_numeric:
+                return None
+            if isinstance(pm, VertexPropertyMap):
+                if unalias(expr.index).key() != loc_key:
+                    return None
+                return lambda env, rows, _pm=pm: rows.read(_pm)
+            idx = _compile_vector_expr(expr.index, leaf)
+            if idx is None:
+                return None
+            return lambda env, rows, _pm=pm, _i=idx: rows.read_edges(_pm, _i(env, rows))
+
+        return leaf
+
+    def _next(self, ci: int, si: int, taken: bool) -> Optional[tuple]:
+        cp = self.plan.cond_plans[ci]
+        if taken and si + 1 < len(cp.steps):
+            return (ci, si + 1)
+        nxt = cp.next_group if taken else (
+            cp.next_on_false if cp.next_on_false is not None else cp.next_group
+        )
+        return None if nxt is None else (nxt, 0)
+
+    def _compile(self, ci: int, si: int, keys: tuple) -> ColumnStage:
+        step = self.plan.cond_plans[ci].steps[si]
+        loc = step._loc_key
+        fallback = ColumnStage("fallback", loc, [], keys)
+        if self.plan.mode != "optimized" or self.reasons[(ci, si)] or loc not in keys:
+            return fallback
+        have = set(keys)
+        if step.kind == "gather":
+            provided = step._read_keys + step._routing_keys + step._fold_keys
+            if all(k in have for k in provided):
+                return ColumnStage("elide", loc, [], keys, on_true=(ci, si + 1))
+            ops = []
+            out = list(keys)
+            for e in (*step.reads, *step.routing, *step.folds):
+                k = e.key()
+                if k in have:
+                    continue
+                kern = _compile_vector_expr(e, self._leaf(have, loc))
+                if kern is None:
+                    return fallback
+                ops.append((k, kern))
+                have.add(k)
+                out.append(k)
+            return ColumnStage("gather", loc, ops, tuple(out), on_true=(ci, si + 1))
+        ops = []
+        local = have
+        if step.kind == "eval":
+            # The eval step re-reads its values inside the lock, even those
+            # a gather already carried.
+            for r in step.reads:
+                kern = _compile_vector_expr(r, self._leaf(have - {r.key()}, loc))
+                if kern is None:
+                    return fallback
+                ops.append((r.key(), kern))
+            local = have | {r.key() for r in step.reads}
+        leaf = self._leaf(local, loc)
+        test = None
+        if step.test is not None:
+            test = _compile_vector_expr(step.test, leaf)
+            if test is None:
+                return fallback
+        mods = []
+        for m in step.mods:
+            value = _compile_vector_expr(m.value, leaf)
+            if value is None or unalias(m.target.index).key() != loc:
+                return fallback
+            pm = self.maps[m.target.decl.name]
+            mods.append(
+                _ColumnMod(
+                    pm=pm,
+                    dtype=np.dtype(pm.dtype),
+                    add=isinstance(m, AugAdd),
+                    value=value,
+                    dependent=m.target.decl.name in self.plan.dependent_props,
+                    refresh=("read", m.target.decl.name, unalias(m.target.index).key()),
+                )
+            )
+        if step.kind == "modify":
+            return ColumnStage("modify", loc, [], keys, mods=mods, on_true=self._next(ci, si, True))
+        fc = self.plan.cond_plans[ci].first_come
+        return ColumnStage(
+            "eval",
+            loc,
+            ops,
+            keys,
+            test=test,
+            mods=mods,
+            claim=fc.sentinel if fc is not None and fc.eval_si == si else _MISSING,
+            on_true=self._next(ci, si, True),
+            on_false=self._next(ci, si, False),
+        )
+
+
+class ColumnRows:
+    """Rows of a dry run standing at one step with one env layout.
+
+    ``env`` maps each key to a column (one value per row, in key order);
+    ``rows`` are the rows' positions in the run (ascending), ``x`` their
+    vertex and ``xl`` its local index at the rank.
+    """
+
+    __slots__ = ("ci", "si", "keys", "env", "rows", "x", "xl", "run")
+
+    def __init__(self, ci, si, keys, env, rows, x, xl, run) -> None:
+        self.ci, self.si, self.keys, self.env = ci, si, keys, env
+        self.rows, self.x, self.xl, self.run = rows, x, xl, run
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, mask: np.ndarray) -> "ColumnRows":
+        return ColumnRows(
+            self.ci,
+            self.si,
+            self.keys,
+            {k: c[mask] for k, c in self.env.items()},
+            self.rows[mask],
+            self.x[mask],
+            self.xl[mask],
+            self.run,
+        )
+
+    def read(self, pm) -> np.ndarray:
+        """``pm`` at each row's vertex: the run-start value, or what the
+        row itself (or a first-come claim it comes after) wrote."""
+        vals = pm.local_slice(self.run.rank)[self.xl]
+        ov = self.run.overlay.get(id(pm))
+        if ov is not None:
+            has = ov[0][self.rows]
+            if has.any():
+                vals = np.where(has, ov[1][self.rows], vals)
+        return vals
+
+    def read_edges(self, pm, gids) -> np.ndarray:
+        """Edge property ``pm`` at global edge ids ``gids``, all stored at
+        the rank (the row walk's ``pm.get(gid, rank=rank)``)."""
+        rank = self.run.rank
+        offsets = self.run.lowering.graph.edge_offsets
+        local = np.asarray(gids, dtype=np.int64) - offsets[rank]
+        if len(local) and (local.min() < 0 or local.max() >= offsets[rank + 1] - offsets[rank]):
+            raise LocalityError(f"{pm.name}: edges not all stored at rank {rank}")
+        return pm.local_slice(rank)[local]
+
+
+def _column(value, n: int) -> np.ndarray:
+    col = np.asarray(value)
+    return col if col.ndim else np.full(n, col)
+
+
+class ColumnDryRun:
+    """One in-order walk of a run's rows over the state at its start.
+
+    Nothing is written to the maps: each row's writes go to a log and to
+    an overlay the row's own later reads see (rows after a first-come
+    claim at their vertex see the claim too).  Per row it records the
+    assignments, changes and work items, the exit (a send) and where the
+    row fell back.
+    """
+
+    def __init__(self, lowering: ColumnLowering, rank: int, ci, si, keys, env, x, xl) -> None:
+        m = len(x)
+        self.lowering = lowering
+        self.rank = rank
+        self.m = m
+        self.x = x
+        self.xl = xl  # local indices of ``x``
+        self.overlay: dict = {}  # id(pm) -> (has, values), per row
+        self.log: list = []  # (pm, rows, values) in step order per row
+        self.wrote = np.zeros(m, dtype=bool)  # a change the cut rule sees
+        self.assigns = np.zeros(m, dtype=np.int64)
+        self.changes = np.zeros(m, dtype=np.int64)
+        self.work = np.zeros(m, dtype=np.int64)  # dependent changes
+        self.exits: list = []  # ColumnRows leaving by a send
+        self.fallbacks: list = []  # ColumnRows handed to the row walk
+        self.fallback_of = np.full(m, -1, dtype=np.int64)
+        self._start = (ci, si)
+        env = dict(env)  # the walk adds and refreshes keys in place
+        pending = [ColumnRows(ci, si, keys, env, np.arange(m), x, self.xl, self)]
+        while pending:  # the caller silences numpy's float warnings
+            self._advance(pending.pop(), pending)
+
+    # -- the walk ---------------------------------------------------------------
+    def _advance(self, g: ColumnRows, pending: list) -> None:
+        lowering = self.lowering
+        while True:
+            st = lowering.stage(g.ci, g.si, g.keys)
+            if st.kind == "elide":
+                g.si += 1
+                continue
+            if st.loc_key in g.env:
+                away = g.env[st.loc_key] != g.x
+                if away.any():
+                    if away.all():
+                        self.exits.append(g)
+                        return
+                    self.exits.append(g.take(away))
+                    g = g.take(~away)
+            if st.kind == "fallback":
+                self.fallback_of[g.rows] = len(self.fallbacks)
+                self.fallbacks.append(g)
+                return
+            n = len(g)
+            if st.kind == "gather":
+                env = g.env
+                for k, kern in st.ops:
+                    env[k] = _column(kern(env, g), n)
+                g.keys = st.keys_out
+                g.si += 1
+                continue
+            if st.kind == "modify":
+                self._apply(g, st.mods, g.env, None)
+                taken = None
+            else:
+                local = dict(g.env)
+                for k, kern in st.ops:
+                    local[k] = _column(kern(local, g), n)
+                taken = None
+                if st.test is not None:
+                    taken = _column(st.test(local, g), n).astype(bool, copy=False)
+                if st.claim is not _MISSING and (g.ci, g.si) == self._start and n == self.m:
+                    taken = self._claim(g, st, local, taken)
+                else:
+                    self._apply(g, st.mods, local, taken)
+            if taken is None or st.on_true == st.on_false or taken.all():
+                nxt = st.on_true
+            elif not taken.any():
+                nxt = st.on_false
+            else:
+                if st.on_false is not None:
+                    other = g.take(~taken)
+                    other.ci, other.si = st.on_false
+                    pending.append(other)
+                g = g.take(taken)
+                nxt = st.on_true
+            if nxt is None:
+                return
+            g.ci, g.si = nxt
+
+    def _write(self, md: _ColumnMod, rows: np.ndarray, values: np.ndarray, view=None) -> None:
+        """Log a write of ``values`` at ``rows``' vertices; ``view`` (rows,
+        values) is what later reads see, by default the writers' own."""
+        self.log.append((md.pm, rows, values))
+        ov = self.overlay.get(id(md.pm))
+        if ov is None:
+            ov = self.overlay[id(md.pm)] = (
+                np.zeros(self.m, dtype=bool),
+                np.empty(self.m, dtype=md.dtype),
+            )
+        vrows, vvals = view if view is not None else (rows, values)
+        ov[0][vrows] = True
+        ov[1][vrows] = vvals
+        self.changes[rows] += 1
+        if md.dependent:
+            self.work[rows] += 1
+
+    def _apply(self, g: ColumnRows, mods: list, env: dict, ok) -> None:
+        """The row walk's ``_apply_mods`` for every row of ``g`` whose
+        test passed (``ok``; None: all)."""
+        n = len(g)
+        self.assigns[g.rows if ok is None else g.rows[ok]] += len(mods)
+        for md in mods:
+            old = g.read(md.pm)
+            val = _column(md.value(env, g), n)
+            if md.add:
+                changed = val != 0
+                new = old + val
+            else:
+                changed = old != val
+                new = val
+            if ok is not None:
+                changed &= ok
+            if not changed.any():
+                continue
+            stored = np.asarray(new)[changed].astype(md.dtype)
+            rows = g.rows[changed]
+            self._write(md, rows, stored)
+            self.wrote[rows] = True
+            if md.refresh in env:
+                col = np.array(env[md.refresh])
+                col[changed] = stored
+                env[md.refresh] = col
+
+    def _claim(self, g: ColumnRows, st: ColumnStage, local: dict, ok) -> np.ndarray:
+        """A :class:`~repro.patterns.planner.FirstCome` eval over the whole
+        run: per vertex, the first row that passes the test with a value
+        other than the sentinel claims it; the rows before it assign
+        without a change and the rows after it fail the test but read
+        the claim."""
+        (md,) = st.mods
+        n = len(g)
+        val = _column(md.value(local, g), n)
+        stored = val.astype(md.dtype)
+        claim = ok & (val != st.claim)
+        if (stored[claim] == st.claim).any():
+            # A value that stores as the sentinel claims nothing for the
+            # rows after it: the rows are ordinary writes.
+            self._apply(g, st.mods, local, ok)
+            return ok
+        idx = np.flatnonzero(claim)
+        taken = ok
+        if len(idx):
+            xs, first = np.unique(g.x[idx], return_index=True)
+            claimers = idx[first]
+            pos = np.minimum(np.searchsorted(xs, g.x), len(xs) - 1)
+            at = np.where(xs[pos] == g.x, claimers[pos], n)
+            order = np.arange(n)
+            taken = ok & (order <= at)
+            after = order >= at
+            self._write(md, claimers, stored[claimers], view=(after, stored[at[after]]))
+        self.assigns[taken] += 1
+        return taken
+
+    # -- the cut --------------------------------------------------------------------
+    def end(self) -> int:
+        """The last row of the prefix this walk decides: the first row
+        that wrote (outside a first-come claim) or fell back at a vertex a
+        later row also visits, or the last row."""
+        risky = self.wrote | (self.fallback_of >= 0)
+        if not risky.any():
+            return self.m - 1
+        order = np.argsort(self.x, kind="stable")
+        later = np.zeros(self.m, dtype=bool)
+        later[order[:-1][self.x[order[1:]] == self.x[order[:-1]]]] = True
+        if self.lowering.writes_edges:
+            later[self.fallback_of >= 0] = True
+        cut = np.flatnonzero(risky & later)
+        return int(cut[0]) if len(cut) else self.m - 1
+
+    def apply(self, end: int) -> None:
+        """Write the logged values of rows ``0..end`` to the maps."""
+        for pm, rows, values in self.log:
+            keep = rows <= end
+            if not keep.all():
+                rows, values = rows[keep], values[keep]
+            if len(rows):
+                pm.assign_many(self.rank, self.xl[rows], values)
+
+    def exit_layouts(self, n: int) -> tuple:
+        """The sends of rows ``0..n-1``: per row the index of its exit
+        layout (-1: it sends nothing), and per layout ``(ci, si, keys,
+        rows, env)`` with its rows ascending."""
+        lay = np.full(n, -1, dtype=np.int64)
+        if len(self.exits) == 1 and self.exits[0].rows[-1] < n:
+            (g,) = self.exits
+            lay[g.rows] = 0
+            return lay, [(g.ci, g.si, g.keys, g.rows, g.env)]
+        by_key: dict = {}
+        for g in self.exits:
+            by_key.setdefault((g.ci, g.si, g.keys), []).append(g)
+        layouts = []
+        for (ci, si, keys), groups in by_key.items():
+            rows, env = groups[0].rows, groups[0].env
+            if len(groups) > 1:
+                rows = np.concatenate([g.rows for g in groups])
+                order = np.argsort(rows, kind="stable")
+                rows = rows[order]
+                env = {k: np.concatenate([g.env[k] for g in groups])[order] for k in keys}
+            cut = int(np.searchsorted(rows, n))
+            if cut < len(rows):
+                rows, env = rows[:cut], {k: c[:cut] for k, c in env.items()}
+            if cut:
+                lay[rows] = len(layouts)
+                layouts.append((ci, si, keys, rows, env))
+        return lay, layouts

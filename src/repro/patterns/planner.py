@@ -40,6 +40,7 @@ from .action import Action, Assign, AugAdd, Condition, Modification
 from .errors import PlanningError, PatternValidationError
 from .expr import (
     SCALAR,
+    SET,
     BinOp,
     Call,
     Compare,
@@ -124,6 +125,7 @@ class CondPlan:
     next_group: Optional[int]  # cond index starting the following group
     entry: Optional[Expr] = None  # where execution stands when the
     # condition starts (the action's input vertex)
+    first_come: Optional["FirstCome"] = None  # the claim form, if matched
 
     def eval_step(self) -> Step:
         for s in self.steps:
@@ -151,7 +153,7 @@ class CondPlan:
         """Worst-case message count for this condition (distinct localities)."""
         return len(self.message_sequence())
 
-    def describe(self) -> str:
+    def describe(self, verdict: str = "") -> str:
         head = f"condition {self.index} ({self.cond.kind}"
         if self.cond.test is not None:
             head += f": {self.cond.test.pretty()}"
@@ -159,6 +161,8 @@ class CondPlan:
         lines = [head]
         lines += [f"  {s.describe()}" for s in self.steps]
         lines.append(f"  worst-case messages: {self.static_message_count()}")
+        if verdict:
+            lines.append(f"  {verdict}")
         return "\n".join(lines)
 
 
@@ -221,6 +225,53 @@ class Sum(_RelaxMatch):
 
 #: The confluence classes :attr:`ActionPlan.confluence` may hold.
 Confluence = Union[Extremum, Sum]
+
+
+@dataclass(frozen=True)
+class FirstCome:
+    """A condition that claims a vertex: ``when(P[x] == c): P[x] = e``.
+
+    The test and the write sit in one merged eval step at ``x``.  Applied
+    to a run of rows in arrival order,
+    the first row per ``x`` that finds the sentinel ``c`` and carries an
+    ``e != c`` claims ``x``; every row at ``x`` before it (``e == c``)
+    assigns without a change, and every row after it fails the test.
+    That is a first occurrence per target (``np.unique(...,
+    return_index=True)``), so the vector tier's in-order lowering may
+    apply a run's claims at once although the rows share targets.  It
+    is a step class, not a confluence class: the order of the rows still
+    decides the winner, so nothing may reorder them.
+    """
+
+    kind: ClassVar[str] = "first_come"
+    eval_si: int  # the claim's eval step
+    target: PropRead  # ``P[x]``
+    sentinel: object  # ``c``
+    value: Expr  # ``e``
+
+
+def match_first_come(cp: CondPlan) -> Optional[FirstCome]:
+    """The :class:`FirstCome` form of condition ``cp``, if it has one."""
+    if not cp.merged:
+        return None
+    eval_si = next(i for i, s in enumerate(cp.steps) if s.kind == "eval")
+    step = cp.steps[eval_si]
+    test = unalias(step.test) if step.test is not None else None
+    if not isinstance(test, Compare) or test.op != "==" or len(step.mods) != 1:
+        return None
+    left, right = unalias(test.left), unalias(test.right)
+    read, const = (left, right) if isinstance(right, Const) else (right, left)
+    if not isinstance(read, PropRead) or not isinstance(const, Const):
+        return None
+    mod = step.mods[0]
+    if (
+        not isinstance(mod, Assign)
+        or mod.target.key() != read.key()
+        or unalias(read.index).key() != step._loc_key
+        or read.decl.value_kind == SET
+    ):
+        return None
+    return FirstCome(eval_si=eval_si, target=read, sentinel=const.value, value=mod.value)
 
 
 def match_confluence(
@@ -351,15 +402,18 @@ class ActionPlan:
         m = self.confluence
         return base - 1 if fused and isinstance(m, Extremum) and m.source_local else base
 
-    def describe(self) -> str:
+    def describe(self, verdicts: Optional[list] = None) -> str:
+        """The plan as text; ``verdicts`` adds one line under each
+        condition (``repro plan`` prints the vector tier's lowering)."""
         lines = [
             f"plan for {self.action.pattern.name}.{self.action.name} "
             f"[{self.mode}]"
         ]
         if self.action.generator is not None:
             lines.append(f"  {self.action.generator.describe()}")
-        for cp in self.cond_plans:
-            lines.append("  " + cp.describe().replace("\n", "\n  "))
+        for i, cp in enumerate(self.cond_plans):
+            text = cp.describe(verdicts[i] if verdicts else "")
+            lines.append("  " + text.replace("\n", "\n  "))
         lines.append(f"  dependent properties: {sorted(self.dependent_props) or '{}'}")
         return "\n".join(lines)
 
@@ -489,6 +543,7 @@ class Planner:
         for cp in cond_plans:
             for s in cp.steps:
                 s.finalize()
+            cp.first_come = match_first_come(cp)
         confluence, reason = match_confluence(self.action, self.mode, cond_plans)
         return ActionPlan(
             action=self.action,

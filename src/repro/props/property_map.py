@@ -248,6 +248,14 @@ class VertexPropertyMap:
             self.dirty.mark_array(rank, local_idx)
         np.add.at(self._slices[rank], local_idx, values)
 
+    def assign_many(self, rank: int, local_idx: np.ndarray, values: np.ndarray) -> None:
+        """Bulk ``map[i] = val`` at the owning rank, pairs applied in order
+        (a later duplicate index wins, as sequential ``set`` calls do).
+        Same contract as :meth:`scatter_extremum`."""
+        if self.dirty is not None:
+            self.dirty.mark_array(rank, local_idx)
+        self._slices[rank][local_idx] = values
+
     def __len__(self) -> int:
         return self.graph.n_vertices
 

@@ -152,6 +152,7 @@ class FusionStats:
     fused_edges: int = 0  # rank-local edges applied without a message
     remote_rows: int = 0  # rows bulk-appended into coalescing buffers
     fallbacks: int = 0  # actions whose shape the vector tier rejects
+    row_fallbacks: int = 0  # rows a lowered action handed to the row walk
 
 
 @dataclass
@@ -607,6 +608,7 @@ class StatsRegistry:
             ("fused edges", n.fused_edges),
             ("remote rows", n.remote_rows),
             ("fallbacks", n.fallbacks),
+            ("row fallbacks", n.row_fallbacks),
         ]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {v:>10}" for name, v in rows)

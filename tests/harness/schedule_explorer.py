@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.algorithms.bfs import bfs_fixed_point, bfs_pattern
-from repro.algorithms.cc import cc_label_pattern, cc_label_propagation
+from repro.algorithms.cc import cc_label_pattern, cc_label_propagation, connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import (
     bind_sssp,
@@ -121,6 +121,21 @@ def wl_cc(machine: Machine, graph_seed: int) -> dict[str, np.ndarray]:
     return {"comp": comp.to_array()}
 
 
+def wl_cc_search(machine: Machine, graph_seed: int) -> dict[str, np.ndarray]:
+    """The paper's CC (Sec. II-B) with a flush budget of 1: searches start
+    while others are still in flight, so they collide and record
+    conflicts (on the vector tier, rows of the in-order lowering that
+    resume the row walk).  ``prnt`` and ``chg`` depend on the schedule;
+    the components do not, so each vertex reports its component's
+    smallest vertex."""
+    g, _ = _graph(graph_seed, n=40, m=60, directed=False)
+    layers = {"cc_search": {"coalescing": 8}, "cc_jump": {"coalescing": 8}}
+    comp = connected_components(machine, g, flush_budget=1, layers=layers)
+    smallest = np.full(g.n_vertices, g.n_vertices)
+    np.minimum.at(smallest, comp, np.arange(g.n_vertices))
+    return {"comp": smallest[comp]}
+
+
 def wl_accumulate(machine: Machine, graph_seed: int, n: int = 64) -> dict[str, np.ndarray]:
     """Duplication/loss-sensitive workload: message-count accumulation.
 
@@ -195,6 +210,7 @@ WORKLOADS: dict[str, Workload] = {
     "sssp": wl_sssp,
     "bfs": wl_bfs,
     "cc": wl_cc,
+    "cc_search": wl_cc_search,
     "accumulate": wl_accumulate,
     "sssp_delta": wl_sssp_delta,
     "pagerank": wl_pagerank,

@@ -32,6 +32,7 @@ from tests.harness.schedule_explorer import (
     explore,
     run_config,
     sweep,
+    wl_cc_search,
     wl_pagerank,
 )
 
@@ -94,6 +95,19 @@ class TestSweep:
         assert machine.stats.by_type["pat.PR.scatter"].vector_items > 0
         result = _run_traced(cfg, default_chaos(2), BUGGY_RELIABLE, [])
         assert compare(oracle, result)
+
+    def test_paper_cc_lowering_survives_chaos_with_row_fallbacks(self):
+        """The ``cc_search`` workload runs the paper's CC with colliding
+        searches: under chaos the vector tier's in-order lowering agrees
+        with the oracle, and some of its rows resume the row walk."""
+        cfg = RunConfig(workload="cc_search", fast_path="off")
+        oracle = run_config(cfg)
+        machine = Machine(
+            N_RANKS, fast_path="vector", chaos=default_chaos(2), reliable=ReliableConfig()
+        )
+        assert not compare(oracle, wl_cc_search(machine, cfg.graph_seed))
+        assert machine.stats.by_type["pat.CC.cc_search"].vector_items > 0
+        assert machine.stats.fusion.row_fallbacks > 0
 
 
 # ---------------------------------------------------------------------------

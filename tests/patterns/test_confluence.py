@@ -187,27 +187,30 @@ def _pagerank_async():
     return pagerank_async_pattern(1e-6)
 
 
-#: (pattern factory, action) -> (recognised, fused, confluence class)
+#: (pattern factory, action) -> (recognised, fused, confluence class,
+#: lowered): an action with no class runs its step chain as column
+#: stages in arrival order when some step has a stage.
 SHIPPED = {
-    (sssp_pattern, "relax"): (True, True, "extremum"),
-    (sssp_pull_pattern, "update"): (False, False, None),
-    (sssp_predecessors_pattern, "relax"): (False, False, None),
-    (bfs_pattern, "hop"): (True, True, "extremum"),
-    (bfs_parent_pattern, "visit"): (False, False, None),
-    (cc_pattern, "cc_search"): (False, False, None),
-    (cc_pattern, "cc_jump"): (False, False, None),
-    (cc_label_pattern, "spread"): (True, True, "extremum"),
-    (pagerank_pattern, "scatter"): (True, False, "sum"),
-    (_pagerank_async, "absorb"): (False, False, None),
-    (_pagerank_async, "spread"): (True, False, "sum"),
+    (sssp_pattern, "relax"): (True, True, "extremum", False),
+    (sssp_pull_pattern, "update"): (False, False, None, True),
+    # every condition falls back at its set step, after a lowered gather
+    (sssp_predecessors_pattern, "relax"): (False, False, None, True),
+    (bfs_pattern, "hop"): (True, True, "extremum", False),
+    (bfs_parent_pattern, "visit"): (False, False, None, True),
+    (cc_pattern, "cc_search"): (False, False, None, True),
+    (cc_pattern, "cc_jump"): (False, False, None, True),
+    (cc_label_pattern, "spread"): (True, True, "extremum", False),
+    (pagerank_pattern, "scatter"): (True, False, "sum", False),
+    (_pagerank_async, "absorb"): (False, False, None, True),
+    (_pagerank_async, "spread"): (True, False, "sum", False),
     # reads removed[u] at the neighbour: the test is not source-local
-    (kcore_pattern, "drop"): (False, False, None),
-    (mis_pattern, "block"): (False, False, None),
-    (mis_pattern, "exclude"): (False, False, None),
-    (coloring_pattern, "block"): (False, False, None),
-    (coloring_pattern, "report"): (False, False, None),
-    (betweenness_pattern, "expand"): (False, False, None),
-    (betweenness_pattern, "push_back"): (False, False, None),
+    (kcore_pattern, "drop"): (False, False, None, True),
+    (mis_pattern, "block"): (False, False, None, True),
+    (mis_pattern, "exclude"): (False, False, None, True),
+    (coloring_pattern, "block"): (False, False, None, True),
+    (coloring_pattern, "report"): (False, False, None, True),
+    (betweenness_pattern, "expand"): (False, False, None, True),
+    (betweenness_pattern, "push_back"): (False, False, None, True),
 }
 
 
@@ -228,7 +231,10 @@ def test_shipped_pattern_verdicts_agree(factory, action):
     plan = ba.plan
     fusable = fusion_report(plan).fusable
     kind = plan.confluence.kind if plan.confluence is not None else None
-    assert (ba.vector_plan is not None, ba._fused, kind) == SHIPPED[(factory, action)]
+    expect = SHIPPED[(factory, action)]
+    assert (ba.vector_plan is not None, ba._fused, kind) == expect[:3]
+    assert (ba.lowering is not None) == expect[3]
+    assert ba.mtype.order_free == (kind == "extremum")
     if ba.vector_plan is not None:
         assert ba._fused == fusable
         assert ba.vector_reason == ""

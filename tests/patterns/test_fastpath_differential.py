@@ -198,21 +198,23 @@ def test_cc_labelprop_differential_sim(coalescing):
 
 
 def test_full_cc_falls_back_and_matches():
-    """The paper's full CC pattern is NOT vectorizable; under
-    fast_path="vector" it must fall back to the scalar path and still
-    match the oracle exactly."""
+    """The paper's full CC pattern has no confluence class; under
+    fast_path="vector" its step chains run as column stages in arrival
+    order (a batch handler is installed for both actions) and it still
+    matches the oracle exactly."""
     s, t = erdos_renyi(120, 150, seed=11)
     g, _ = build_graph(120, list(zip(s, t)), directed=False, n_ranks=4)
+    layers = {"cc_search": {"coalescing": 16}, "cc_jump": {"coalescing": 16}}
     labels = {}
     for fp in MODES:
         m = make_machine(fp)
-        labels[fp] = connected_components(m, g)
+        labels[fp] = connected_components(m, g, flush_budget=2, layers=layers)
         if fp == "vector":
-            # cc_search / cc_jump have multi-condition plans: no batch
-            # kernels may have been installed for them
-            for name, mt in ((n, m.registry.by_name(n)) for n in m.stats.by_type):
-                if "cc_" in name:
-                    assert mt.batch_handler is None
+            cc_types = [m.registry.by_name(n) for n in m.stats.by_type if "cc_" in n]
+            assert len(cc_types) == 2
+            for mt in cc_types:
+                assert mt.batch_handler is not None and not mt.order_free
+            assert vector_items(m) > 0
     assert np.array_equal(labels["off"], labels["compiled"])
     assert np.array_equal(labels["off"], labels["vector"])
 

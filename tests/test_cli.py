@@ -107,6 +107,22 @@ class TestCommands:
         assert "confluence: none (needs optimized mode with a single condition)" in search
         assert "confluence: none (needs a builtin out_edges/adj generator)" in jump
 
+    def test_plan_prints_the_vector_lowering_of_each_condition(self, capsys):
+        """Under each condition: lowered (and how) or where it falls back."""
+        assert main(["plan", "--pattern", "cc"]) == 0
+        search, jump = capsys.readouterr().out.split("plan for CC.cc_jump")
+        verdicts = [ln.strip() for ln in search.splitlines() if "vector: " in ln]
+        assert verdicts == [
+            "vector: lowered (first_come)",
+            "vector: falls back (step 4: insert into the set conflicts)",
+            "vector: falls back (step 4: insert into the set conflicts)",
+            "vector: lowered (assign)",
+            "vector: lowered (assign)",
+        ]
+        assert "  vector: lowered (assign)\n" in jump
+        assert main(["plan", "--pattern", "pagerank"]) == 0
+        assert "  vector: lowered (sum)\n" in capsys.readouterr().out
+
     def test_plan_naive_mode(self, capsys):
         assert main(["plan", "--pattern", "sssp", "--mode", "naive"]) == 0
         assert "[naive]" in capsys.readouterr().out

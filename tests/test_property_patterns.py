@@ -17,12 +17,12 @@ that exercise routing, gathering, and merging.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro import Machine
 from repro.graph import build_graph
-from repro.patterns import Pattern, bind, compile_action
+from repro.patterns import Pattern, bind, compile_action, trg
 
 OPS = ["<", "<=", ">", ">=", "==", "!="]
 
@@ -256,3 +256,176 @@ class TestRandomPatterns:
         pattern = build_pattern(spec)
         plan = compile_action(pattern.actions["act"])
         assert plan.static_message_count() <= 7
+
+
+# ---------------------------------------------------------------------------
+# Multi-condition actions: the vector tier's in-order lowering is ``off``
+# ---------------------------------------------------------------------------
+#
+# Actions with no confluence class run their step chains as column stages
+# in arrival order on the vector tier.  This second generator draws such
+# actions — a generator or none, gather chains of depth 0-2, one to three
+# condition groups with and without ``else``, and each group's
+# modification a guarded first-come claim, a masked assign, a set insert
+# or a ``+=`` — and requires the vector tier to agree with the ``off``
+# oracle bitwise on ``sim`` under every schedule: maps, dependents,
+# counters and every shipped envelope.
+
+MODS = ["first_come", "assign", "insert", "add"]
+SCHEDULES = ["round_robin", "random", "fifo", "lifo"]
+
+
+@st.composite
+def multi_condition_specs(draw):
+    groups = [
+        {
+            "mod": draw(st.sampled_from(MODS)),
+            "depth": draw(st.integers(0, 2)),
+            "src_depth": draw(st.integers(0, 2)),
+            "op": draw(st.sampled_from(OPS)),
+            "c": draw(st.integers(-2, 3)),
+            "else_depth": draw(st.one_of(st.none(), st.integers(0, 2))),
+        }
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return {
+        "generator": draw(st.sampled_from([None, "adj", "out_edges"])),
+        "groups": groups,
+        "n": draw(st.integers(2, 10)),
+        "m": draw(st.integers(0, 24)),
+        "seed": draw(st.integers(0, 10_000)),
+        "n_ranks": draw(st.integers(1, 4)),
+        "partition": draw(st.sampled_from(["cyclic", "block"])),
+        "coalescing": draw(st.sampled_from([1, 5, 64])),
+        "schedule": draw(st.sampled_from(SCHEDULES)),
+        "machine_seed": draw(st.integers(0, 99)),
+    }
+
+
+def build_multi_condition(spec):
+    p = Pattern("FUZZ")
+    nxt = p.vertex_prop("nxt", "vertex")
+    val = p.vertex_prop("val", int)
+    lab = p.vertex_prop("lab", "vertex", default=-1)
+    out = p.vertex_prop("out", int, default=0)
+    acc = p.vertex_prop("acc", float, default=0.0)
+    seen = p.vertex_prop("seen", "set")
+    wt = p.edge_prop("wt", float)
+    a = p.action("act")
+    v = a.input
+    base, weight = v, None
+    if spec["generator"] == "adj":
+        base = a.adj()
+    elif spec["generator"] == "out_edges":
+        e = a.out_edges()
+        base, weight = trg(e), wt[e]
+
+    def chain(start, depth):
+        for _ in range(depth):
+            start = nxt[start]
+        return start
+
+    ops = {
+        "<": lambda x, y: x < y,
+        "<=": lambda x, y: x <= y,
+        ">": lambda x, y: x > y,
+        ">=": lambda x, y: x >= y,
+        "==": lambda x, y: x == y,
+        "!=": lambda x, y: x != y,
+    }
+    for grp in spec["groups"]:
+        t = chain(base, grp["depth"])
+        x = val[chain(v, grp["src_depth"])]
+        test = ops[grp["op"]](x, out[t] + grp["c"])
+        if grp["mod"] == "first_come":
+            with a.when(lab[t] == -1):
+                a.set(lab[t], x)
+        elif grp["mod"] == "assign":
+            with a.when(test):
+                a.set(out[t], x + grp["c"])
+        elif grp["mod"] == "insert":
+            with a.when(test):
+                a.insert(seen[t], x)
+        else:
+            with a.when(test):
+                a.add(acc[t], x / 3.0 if weight is None else weight * x)
+        if grp["else_depth"] is not None:
+            with a.otherwise():
+                a.set(out[chain(base, grp["else_depth"])], x - 1)
+    return p
+
+
+def run_multi_condition(spec, fast_path: str):
+    """Start the action at every vertex, twice; the work hook re-invokes
+    it once per dependent vertex.  Returns everything ``off`` decides."""
+    n = spec["n"]
+    rng = np.random.default_rng(spec["seed"])
+    edges = rng.integers(0, n, size=(spec["m"], 2))
+    g, _ = build_graph(n, edges, n_ranks=spec["n_ranks"], partition=spec["partition"])
+    m = Machine(
+        spec["n_ranks"],
+        fast_path=fast_path,
+        schedule=spec["schedule"],
+        seed=spec["machine_seed"],
+    )
+    shipped: list = []
+    wire = m.transport._wire
+
+    def spy(mtype, src, dest, payload, batch):
+        rows = tuple(payload) if batch else (payload,)
+        shipped.append((src, dest, tuple(tuple(np.asarray(r).tolist()) for r in rows)))
+        wire(mtype, src, dest, payload, batch)
+
+    m.transport._wire = spy
+    bp = bind(build_multi_condition(spec), m, g, layers={"act": {"coalescing": spec["coalescing"]}})
+    bp.map("nxt").from_array(rng.integers(0, n, size=n))
+    bp.map("val").from_array(rng.integers(-2, 6, size=n))
+    bp.map("wt").from_array(rng.uniform(0.1, 2.0, size=g.n_edges) / 3.0)
+    act = bp["act"]
+    deps: list = []
+
+    def hook(ctx, w):
+        if w not in deps:
+            act.invoke_from(ctx, w)
+        deps.append(int(w))
+
+    act.work = hook
+    for _ in range(2):
+        with m.epoch() as ep:
+            act.invoke_many(ep, np.arange(n))
+    maps = tuple(
+        bp.map(k).to_array().tobytes() for k in ("lab", "out", "acc")
+    ) + (tuple(None if s is None else tuple(sorted(s)) for s in bp.map("seen").to_array()),)
+    st_ = m.stats.by_type[act.mtype.name]
+    logical = (
+        st_.handler_calls,
+        st_.sent_local,
+        st_.sent_remote,
+        st_.coalesced_flushes,
+        st_.payload_slots,
+        m.stats.total.work_items,
+        act.change_count,
+        act.assign_count,
+    )
+    lowered = (st_.vector_items, st_.handler_calls, act.lowering is not None)
+    m.shutdown()
+    return (maps, deps, logical, shipped), lowered
+
+
+class TestMultiConditionLowering:
+    @given(spec=multi_condition_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_vector_is_bitwise_off(self, spec):
+        off, _ = run_multi_condition(spec, "off")
+        vec, (items, calls, lowered) = run_multi_condition(spec, "vector")
+        assert vec[0] == off[0], "maps differ"
+        assert vec[1] == off[1], "dependents differ"
+        assert vec[2] == off[2], "logical counters differ"
+        assert vec[3] == off[3], "shipped envelopes differ"
+        # The share of delivered rows the column stages ran (shown with
+        # ``--hypothesis-show-statistics``).
+        if lowered and calls:
+            bucket = 25 * int(4 * items / calls)
+            event(f"rows lowered: {bucket}%{'' if items == calls else '+'}")
+        else:
+            event("not lowered" if not lowered else "no deliveries")
